@@ -93,8 +93,8 @@ fn run_row(
     cfg: DaemonCfg,
     initial: &dtr_core::DualWeights,
 ) -> Row {
-    let out = replay_trace(trace, cfg, Some(initial.clone()));
-    let again = replay_trace(trace, cfg, Some(initial.clone()));
+    let out = replay_trace(trace, cfg, Some(initial.clone())).unwrap();
+    let again = replay_trace(trace, cfg, Some(initial.clone())).unwrap();
     let deterministic = out.lines == again.lines && out.report == again.report;
     assert!(deterministic, "{name}: replay is not deterministic");
     assert!(

@@ -21,8 +21,7 @@ use dtr_graph::datacenter::{fat_tree_topology, FatTreeCfg};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::rocketfuel::{rocketfuel_topology, RocketfuelCfg};
 use dtr_graph::{waxman_topology, LinkId, Topology, WaxmanCfg, WeightVector};
-use dtr_multi::{MultiDemand, MultiTrafficCfg};
-use dtr_traffic::{DemandSet, TrafficCfg};
+use dtr_traffic::{DemandSet, MultiDemand, MultiTrafficCfg, TrafficCfg};
 use std::time::Instant;
 
 /// Paper-scale and larger generated topologies (the acceptance gate is
@@ -173,9 +172,9 @@ fn bench_backends(c: &mut Criterion, speedups: &mut Vec<Speedup>) {
 /// the 50-node instance, batch-evaluating step candidates for the
 /// middle class with the other classes held fixed — the
 /// `KClassBatchEvaluator` search hot path. Candidates are regenerated
-/// from an advancing LCG on every iteration so the evaluator's LRU
-/// cache cannot absorb the harness's repeats; the fixed classes *do*
-/// stay cached, which is exactly what the stepping pattern amortizes.
+/// from an advancing LCG on every iteration, as a search would draw
+/// them; the fixed classes stay cached, which is exactly what the
+/// stepping pattern amortizes.
 fn bench_kclass(c: &mut Criterion) {
     let topo = random_topology(&RandomTopologyCfg {
         nodes: 50,
@@ -207,7 +206,7 @@ fn bench_kclass(c: &mut Criterion) {
             format!("engine/{label}/kclass3_step/random_50n_200l"),
             |b| {
                 b.iter(|| {
-                    // A fresh LCG stream per iteration defeats the LRU cache.
+                    // A fresh LCG stream per iteration: new candidates.
                     round += 1;
                     let cands = neighbors_seeded(&topo, &base, 8, "step", round);
                     kc.eval_class_batch(1, &cands, &weights)

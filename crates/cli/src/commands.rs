@@ -1389,10 +1389,11 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
     let trace: ChurnTrace = load(trace_path)?;
     // A hand-edited or corrupted trace must fail with a diagnostic, not
     // a panic deep inside the daemon.
-    trace.validate().map_err(|e| CliError::Trace {
+    let trace_error = |e: dtr_scenario::ChurnTraceError| CliError::Trace {
         path: trace_path.to_string(),
         detail: e.to_string(),
-    })?;
+    };
+    trace.validate().map_err(trace_error)?;
     let objective = parse_objective(args)?;
     if matches!(objective, Objective::SlaBased(_)) {
         // Masked evaluation is load-only, so an SLA replay of a trace
@@ -1436,7 +1437,7 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
     let transport = args.get("transport").unwrap_or("inproc");
     let run_replay = |initial: Option<DualWeights>| -> Result<dtr_daemon::ReplayOutcome, CliError> {
         match transport {
-            "inproc" => Ok(replay_trace(&trace, cfg, initial)),
+            "inproc" => replay_trace(&trace, cfg, initial).map_err(trace_error),
             "tcp" => Ok(dtr_daemon::replay_trace_tcp(&trace, cfg, initial)?),
             other => Err(CliError::UnknownVariant {
                 what: "replay transport (inproc|tcp)",
@@ -1909,7 +1910,7 @@ mod tests {
             params: dtr_core::SearchParams::preset("tiny").unwrap(),
             ..Default::default()
         };
-        let out = replay_trace(&trace, cfg, None);
+        let out = replay_trace(&trace, cfg, None).unwrap();
 
         // Inject a timing difference an order of magnitude beyond run-to-
         // run noise — and scramble the per-kind labels that feed the

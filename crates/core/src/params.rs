@@ -43,11 +43,13 @@ pub struct SearchParams {
     pub max_step: u32,
     /// RNG seed for the search (generation seeds live in `TrafficCfg`).
     pub seed: u64,
-    /// Candidate-evaluation backend for the `DtrSearch`/`StrSearch` hot
-    /// loops. Both backends produce bit-identical evaluations (enforced
-    /// by `dtr-engine`'s equivalence proptests), so this only changes
-    /// wall-clock time; `Incremental` repairs only the destinations a
-    /// move's one-or-two weight deltas affect and is the default.
+    /// Candidate-evaluation backend for the search hot loops
+    /// (`DtrSearch`, `StrSearch` and `dtr-multi`'s k-class
+    /// `MultiSearch`). Both backends produce bit-identical evaluations
+    /// (enforced by `dtr-engine`'s and `dtr-multi`'s equivalence
+    /// proptests), so this only changes wall-clock time; `Incremental`
+    /// repairs only the destinations a move's one-or-two weight deltas
+    /// affect and is the default.
     pub backend: BackendKind,
 }
 

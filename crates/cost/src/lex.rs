@@ -81,8 +81,8 @@ impl fmt::Display for Lex2 {
 }
 
 /// A lexicographically ordered k-component cost vector; component 0 is
-/// the highest priority. This is the k-class generalization of [`Lex2`]:
-/// `dtr-multi`'s `LexK` is an alias of this type, and a two-component
+/// the highest priority. This is the k-class generalization of [`Lex2`]
+/// and the one cost type of every k-class path; a two-component
 /// `LexCost` orders exactly like the `Lex2` built from the same values.
 /// Comparisons require equal lengths (same class count).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -254,7 +254,16 @@ mod tests {
         let a = LexCost::new(vec![1.0, 99.0, 99.0]);
         let b = LexCost::new(vec![2.0, 0.0, 0.0]);
         assert!(a < b);
+        let c = LexCost::new(vec![1.0, 5.0, 0.0]);
+        assert!(a > c);
         assert!(LexCost::new(vec![1e308, 1e308]) < LexCost::worst(2));
+    }
+
+    #[test]
+    fn lexcost_equality_and_display() {
+        assert_eq!(LexCost::new(vec![1.0, 2.0]), LexCost::new(vec![1.0, 2.0]));
+        assert_ne!(LexCost::new(vec![1.0, 2.0]), LexCost::new(vec![1.0, 3.0]));
+        assert_eq!(LexCost::new(vec![1.0, 0.5]).to_string(), "⟨1.000, 0.500⟩");
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //! - `Evaluator::new(topo, demands, objective)` in `dtr-routing`
 //!   forwards to `Evaluator::with_spec(topo, demands,
 //!   &ObjectiveSpec::from(objective))`.
-//! - `MultiEvaluator::new(topo, demands)` in `dtr-multi` forwards to
-//!   `MultiEvaluator::with_spec(topo, demands,
+//! - The k-class evaluator, `dtr-engine`'s `KClassBatchEvaluator`
+//!   (re-exported as `dtr_multi::MultiEvaluator`), takes a spec only:
+//!   the removed `MultiEvaluator::new(topo, demands)` is
+//!   `KClassBatchEvaluator::with_spec(topo, demands,
 //!   &ObjectiveSpec::load(k))`.
 //! - `BatchEvaluator`, `PortfolioSearch`, `ReoptSession` and the daemon
 //!   accept specs through their own `with_spec` constructors, which

@@ -16,10 +16,13 @@
 //! |---|---|
 //! | `Evaluator::new(t, d, Objective::LoadBased)` | `Evaluator::with_spec(t, d, &ObjectiveSpec::two_class_load())` |
 //! | `Evaluator::new(t, d, Objective::SlaBased(p))` | `Evaluator::with_spec(t, d, &ObjectiveSpec::from(Objective::SlaBased(p)))` |
-//! | `MultiEvaluator::new(t, d)` | `MultiEvaluator::with_spec(t, d, &ObjectiveSpec::load(k))` |
+//! | `MultiEvaluator::new(t, d)` (removed) | `KClassBatchEvaluator::with_spec(t, d, &ObjectiveSpec::load(k))` |
 //!
-//! The legacy constructors remain as thin forwarding wrappers; new code
-//! should construct an `ObjectiveSpec` once and thread it through.
+//! The two-class legacy constructors remain as thin forwarding
+//! wrappers; new code should construct an `ObjectiveSpec` once and
+//! thread it through. The k-class evaluator takes a spec only: it is
+//! `dtr-engine`'s `KClassBatchEvaluator` (`dtr_multi::MultiEvaluator`
+//! is a re-exported name of it).
 
 use crate::objective::{Objective, SlaParams};
 use serde::{Deserialize, Serialize};

@@ -24,7 +24,7 @@ use crate::event::{CostPair, EventAction, Reply, Request};
 use dtr_core::{DtrSearch, ReoptSession, Scheme};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::WeightVector;
-use dtr_scenario::ChurnTrace;
+use dtr_scenario::{ChurnTrace, ChurnTraceError};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -197,23 +197,26 @@ pub struct ReplayOutcome {
 /// the incumbent; `None` runs a cold batch search first (the daemon's
 /// normal boot). The final incumbent is compared against a cold batch
 /// re-optimization of the end-state network under the same budget.
+/// A structurally invalid trace ([`ChurnTrace::validate`]) is an error,
+/// not a panic.
 pub fn replay_trace(
     trace: &ChurnTrace,
     cfg: DaemonCfg,
     initial: Option<DualWeights>,
-) -> ReplayOutcome {
-    trace
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid churn trace: {e}"));
+) -> Result<ReplayOutcome, ChurnTraceError> {
+    trace.validate()?;
     let mut daemon = Daemon::new(trace.topo.clone(), trace.base.clone(), initial, cfg);
-    replay_over(trace, cfg, &mut |line: &str| daemon.handle_line(line))
+    Ok(replay_over(trace, cfg, &mut |line: &str| {
+        daemon.handle_line(line)
+    }))
 }
 
 /// Like [`replay_trace`] but over a real TCP round-trip: boots a
 /// [`serve_tcp`](crate::serve_tcp) server on an ephemeral loopback
 /// port, drives the whole exchange through one client connection, and
 /// shuts the server down afterwards. Reply lines are byte-identical to
-/// the in-process replay's; timings include the socket round-trip.
+/// the in-process replay's; timings include the socket round-trip. An
+/// invalid trace is an [`std::io::ErrorKind::InvalidInput`] error.
 pub fn replay_trace_tcp(
     trace: &ChurnTrace,
     cfg: DaemonCfg,
@@ -223,7 +226,7 @@ pub fn replay_trace_tcp(
 
     trace
         .validate()
-        .unwrap_or_else(|e| panic!("invalid churn trace: {e}"));
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let daemon = Daemon::new(trace.topo.clone(), trace.base.clone(), initial, cfg);
     let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;

@@ -104,8 +104,8 @@ fn bursty_coalescing_replay_is_deterministic_and_batches() {
         idle_steps: 1,
         ..cfg()
     };
-    let a = replay_trace(&trace, coalescing, None);
-    let b = replay_trace(&trace, coalescing, None);
+    let a = replay_trace(&trace, coalescing, None).unwrap();
+    let b = replay_trace(&trace, coalescing, None).unwrap();
     assert_eq!(a.lines, b.lines, "coalesced replay must be byte-identical");
     assert_eq!(a.report, b.report);
     assert!(a.report.coalesced > 0, "bursty trace never coalesced");
@@ -338,7 +338,7 @@ fn tcp_replay_is_byte_identical_to_in_process() {
         idle_steps: 1,
         ..cfg()
     };
-    let inproc = replay_trace(&trace, coalescing, None);
+    let inproc = replay_trace(&trace, coalescing, None).unwrap();
     let tcp = replay_trace_tcp(&trace, coalescing, None).unwrap();
     assert_eq!(inproc.lines, tcp.lines, "transport must not change bytes");
     assert_eq!(inproc.report, tcp.report);

@@ -6,7 +6,7 @@ use dtr_daemon::{replay_trace, serve, Daemon, DaemonCfg, EventAction, Reply, Req
 use dtr_graph::gen::{random_topology, triangle_topology, RandomTopologyCfg};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, Topology, WeightVector};
-use dtr_scenario::{generate_churn, ChurnCfg, ChurnTrace};
+use dtr_scenario::{generate_churn, ChurnCfg, ChurnTrace, ChurnTraceError};
 use dtr_traffic::{DemandSet, TrafficCfg, TrafficMatrix};
 
 fn instance() -> (Topology, DemandSet) {
@@ -56,8 +56,8 @@ fn uniform(topo: &Topology) -> DualWeights {
 #[test]
 fn replaying_a_trace_twice_is_byte_identical() {
     let trace = trace(30, 1);
-    let a = replay_trace(&trace, cfg(), None);
-    let b = replay_trace(&trace, cfg(), None);
+    let a = replay_trace(&trace, cfg(), None).unwrap();
+    let b = replay_trace(&trace, cfg(), None).unwrap();
     assert_eq!(a.lines, b.lines, "reply lines must be byte-identical");
     assert_eq!(a.report, b.report);
     // Replies are valid protocol lines.
@@ -120,7 +120,7 @@ fn infinite_churn_floor_declines_every_reconfiguration() {
         min_gain_per_churn: f64::INFINITY,
         ..cfg()
     };
-    let out = replay_trace(&trace, strict, Some(uniform(&trace.topo)));
+    let out = replay_trace(&trace, strict, Some(uniform(&trace.topo))).unwrap();
     assert_eq!(out.report.accepted, 0, "nothing may clear an infinite bar");
     assert_eq!(out.report.total_churn_messages, 0);
     // The searches still found improvements — they were declined.
@@ -133,7 +133,7 @@ fn infinite_churn_floor_declines_every_reconfiguration() {
 #[test]
 fn zero_floor_accepts_and_improves() {
     let trace = trace(30, 4);
-    let out = replay_trace(&trace, cfg(), Some(uniform(&trace.topo)));
+    let out = replay_trace(&trace, cfg(), Some(uniform(&trace.topo))).unwrap();
     assert!(
         out.report.accepted > 0,
         "expected accepted reconfigurations"
@@ -352,9 +352,23 @@ fn sla_objective_replays_a_demand_only_trace() {
         objective: Objective::SlaBased(SlaParams::default()),
         ..cfg()
     };
-    let a = replay_trace(&t, sla_cfg, Some(uniform(&t.topo)));
-    let b = replay_trace(&t, sla_cfg, Some(uniform(&t.topo)));
+    let a = replay_trace(&t, sla_cfg, Some(uniform(&t.topo))).unwrap();
+    let b = replay_trace(&t, sla_cfg, Some(uniform(&t.topo))).unwrap();
     assert_eq!(a.lines, b.lines, "SLA replay must stay deterministic");
     assert_eq!(a.report.events, t.events.len());
     assert_eq!(a.report.final_links_down, 0);
+}
+
+#[test]
+fn replaying_an_invalid_trace_is_an_error_not_a_panic() {
+    let mut bad = trace(6, 3);
+    bad.events[2].at_s = f64::NAN;
+    let err = replay_trace(&bad, cfg(), None).unwrap_err();
+    assert!(
+        matches!(err, ChurnTraceError::TimestampRegression { index: 2, .. }),
+        "{err}"
+    );
+    let err = dtr_daemon::replay_trace_tcp(&bad, cfg(), None).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("event 2"), "{err}");
 }

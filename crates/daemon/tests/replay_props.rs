@@ -85,8 +85,8 @@ proptest! {
     ) {
         let trace = bursty_trace(seed);
         let c = DaemonCfg { coalesce: cap, idle_steps: idle, ..cfg(seed) };
-        let a = replay_trace(&trace, c, None);
-        let b = replay_trace(&trace, c, None);
+        let a = replay_trace(&trace, c, None).unwrap();
+        let b = replay_trace(&trace, c, None).unwrap();
         prop_assert_eq!(&a.lines, &b.lines);
         prop_assert_eq!(&a.report, &b.report);
         // Every reply line is trace event or injected flush, nothing else.

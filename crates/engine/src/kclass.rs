@@ -19,13 +19,18 @@
 //! bit-identical (enforced by `tests/proptests.rs`), and a two-class
 //! load spec reproduces the legacy evaluator exactly — class 0's
 //! residual is the raw capacity bit-for-bit.
+//!
+//! This is the workspace's one k-class evaluator: `dtr_multi`'s
+//! `MultiSearch` steps through [`KClassBatchEvaluator::eval_class_batch`],
+//! and the suite, validation and experiment paths evaluate k-class
+//! incumbents with [`KClassBatchEvaluator::eval`].
 
 use crate::backend::{make_backend, BackendKind, EvalBackend};
 use crate::cache::LruCache;
 use dtr_cost::{link_delay, ClassMode, LexCost, ObjectiveError, ObjectiveSpec};
 use dtr_graph::{NodeId, ShortestPathDag, Topology, WeightVector};
 use dtr_routing::{cascade_classes, sla_walk, ClassLoads, SlaEvaluation};
-use dtr_traffic::TrafficMatrix;
+use dtr_traffic::{MultiDemand, TrafficMatrix};
 use std::sync::Arc;
 
 /// Evaluation of one k-class weight setting (one vector per class).
@@ -42,6 +47,24 @@ pub struct KClassEvaluation {
     /// The lexicographic objective: class i contributes its `Φ` (load
     /// mode) or `Λ` (SLA mode).
     pub cost: LexCost,
+}
+
+impl KClassEvaluation {
+    /// Total per-link load across classes.
+    pub fn total_loads(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.loads[0].len()];
+        for class in &self.loads {
+            for (o, l) in out.iter_mut().zip(class) {
+                *o += l;
+            }
+        }
+        out
+    }
+
+    /// Average link utilization of the total load.
+    pub fn avg_utilization(&self, topo: &Topology) -> f64 {
+        dtr_routing::loads::avg_utilization(topo, &self.total_loads())
+    }
 }
 
 /// What the per-class backends produce and the caches hold: loads plus
@@ -114,6 +137,22 @@ impl<'a> KClassBatchEvaluator<'a> {
         })
     }
 
+    /// Binds a k-class demand set under `spec` with the [`BackendKind::Full`]
+    /// backend: the one-shot evaluator for incumbents and reports, where
+    /// no base weight vector is worth maintaining.
+    pub fn with_spec(
+        topo: &'a Topology,
+        demands: &'a MultiDemand,
+        spec: &ObjectiveSpec,
+    ) -> Result<Self, ObjectiveError> {
+        Self::new(
+            topo,
+            demands.classes.iter().collect(),
+            spec,
+            BackendKind::Full,
+        )
+    }
+
     /// The bound topology.
     pub fn topo(&self) -> &'a Topology {
         self.topo
@@ -157,6 +196,11 @@ impl<'a> KClassBatchEvaluator<'a> {
         side
     }
 
+    /// Routes class `class` on `w` alone: its link loads.
+    pub fn class_loads(&mut self, class: usize, w: &WeightVector) -> ClassLoads {
+        self.class_side(class, w).loads
+    }
+
     /// Full evaluation of one weight vector per class (highest first).
     pub fn eval(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
         assert_eq!(weights.len(), self.class_count(), "one vector per class");
@@ -170,8 +214,10 @@ impl<'a> KClassBatchEvaluator<'a> {
 
     /// Evaluates a batch of candidates for one class with every other
     /// class held at `weights`. This is the search stepping pattern: the
-    /// moved class repairs incrementally from its base, the fixed
-    /// classes come from cache.
+    /// moved class's candidates go to its backend as one batch
+    /// (repairing incrementally from its base), the fixed classes come
+    /// from cache. Candidate sides are not cached: they are rarely
+    /// revisited, and an SLA class's side holds every destination's DAG.
     pub fn eval_class_batch(
         &mut self,
         class: usize,
@@ -184,10 +230,15 @@ impl<'a> KClassBatchEvaluator<'a> {
             .enumerate()
             .map(|(c, w)| self.class_side(c, w))
             .collect();
-        cands
-            .iter()
-            .map(|w| {
-                sides[class] = self.class_side(class, w);
+        let want_dags = self.want_dags(class);
+        self.backends[class]
+            .eval_batch(cands, want_dags)
+            .into_iter()
+            .map(|mut ev| {
+                sides[class] = ClassSide {
+                    loads: ev.loads.swap_remove(0),
+                    dags: ev.dags,
+                };
                 self.assemble(&sides)
             })
             .collect()
@@ -363,6 +414,86 @@ mod tests {
         let ba = full.eval_class_batch(1, &cands, &weights);
         let bb = incr.eval_class_batch(1, &cands, &weights);
         assert_eq!(ba, bb);
+    }
+
+    /// 3 classes on the unit triangle, all A→C, 1/3 each.
+    fn stacked_triangle() -> (Topology, MultiDemand) {
+        let topo = dtr_graph::gen::triangle_topology(1.0);
+        let mk = |v: f64| {
+            let mut m = TrafficMatrix::zeros(3);
+            m.set(0, 2, v);
+            m
+        };
+        let classes = vec![mk(1.0 / 3.0), mk(1.0 / 3.0), mk(1.0 / 3.0)];
+        (topo, MultiDemand { classes })
+    }
+
+    #[test]
+    fn cascading_residuals_on_shared_path() {
+        let (topo, demands) = stacked_triangle();
+        let mut ev =
+            KClassBatchEvaluator::with_spec(&topo, &demands, &ObjectiveSpec::load(3)).unwrap();
+        let e = ev.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
+        // Class 0: Φ(1/3, 1) = 1/3. Class 1: Φ(1/3, 2/3) (util 0.5 →
+        // 3·1/3 − 2/3·2/3 = 5/9). Class 2: Φ(1/3, 1/3) (util 1 →
+        // 70/3 − 178/9 = 32/9).
+        assert!((e.phis[0] - 1.0 / 3.0).abs() < 1e-9);
+        assert!((e.phis[1] - 5.0 / 9.0).abs() < 1e-9, "got {}", e.phis[1]);
+        assert!((e.phis[2] - 32.0 / 9.0).abs() < 1e-9, "got {}", e.phis[2]);
+        assert_eq!(e.cost.len(), 3);
+        let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap().index();
+        let residuals = cascade_classes(&topo, &e.loads).residuals;
+        assert!((residuals[2][ac] - 1.0 / 3.0).abs() < 1e-9);
+        // All three classes share A→C; nothing else carries traffic.
+        let total = e.total_loads();
+        assert!((total[ac] - 1.0).abs() < 1e-12);
+        let avg = e.avg_utilization(&topo);
+        assert!((avg - 1.0 / topo.link_count() as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn higher_class_immune_to_lower_weights() {
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 10,
+            directed_links: 40,
+            seed: 3,
+        });
+        let demands = MultiDemand::generate(
+            &topo,
+            &dtr_traffic::MultiTrafficCfg {
+                fractions: vec![0.2, 0.2],
+                densities: vec![0.1, 0.2],
+                seed: 3,
+            },
+        );
+        let mut ev =
+            KClassBatchEvaluator::with_spec(&topo, &demands, &ObjectiveSpec::load(3)).unwrap();
+        let base = vec![WeightVector::uniform(&topo, 1); 3];
+        let mut tweaked = base.clone();
+        tweaked[2] = WeightVector::delay_proportional(&topo, 30);
+        let a = ev.eval(&base);
+        let b = ev.eval(&tweaked);
+        assert_eq!(a.phis[0], b.phis[0]);
+        assert_eq!(a.phis[1], b.phis[1]);
+        assert_ne!(a.phis[2], b.phis[2]);
+    }
+
+    #[test]
+    fn sla_delays_use_residual_capacity() {
+        // Three stacked classes on one path, classes 0 and 1 under SLA:
+        // class 1's link delays see the residual left by class 0, so its
+        // delays are strictly larger on the shared link.
+        let (topo, demands) = stacked_triangle();
+        let spec = ObjectiveSpec::uniform_sla(3, SlaParams::default());
+        let mut ev = KClassBatchEvaluator::with_spec(&topo, &demands, &spec).unwrap();
+        let e = ev.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
+        let ac = topo.find_link(NodeId(0), NodeId(2)).unwrap().index();
+        let d0 = e.sla[0].as_ref().unwrap().link_delays[ac];
+        let d1 = e.sla[1].as_ref().unwrap().link_delays[ac];
+        assert!(d1 > d0, "residual delays must cascade: {d0} vs {d1}");
+        assert!(e.sla[2].is_none());
+        // Components: Λ for SLA classes, Φ for the load class.
+        assert_eq!(e.cost.get(2), e.phis[2]);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The paper stops at two topologies ("we limit ourselves to two", §1)
 //! while RFC 4915 supports many. Using `dtr-multi`'s k-class
 //! generalization (cascading residual capacities, lexicographic
-//! k-tuples), this experiment pits k-topology MTR against a
-//! single-topology baseline carrying the same k strictly ordered classes
-//! for k = 2, 3, 4, and reports the per-class cost ratio — the k-class
-//! analogue of Fig. 2's `R_L`.
+//! k-tuples, evaluated by `dtr-engine`'s `KClassBatchEvaluator`), this
+//! experiment pits k-topology MTR against a single-topology baseline
+//! carrying the same k strictly ordered classes for k = 2, 3, 4, and
+//! reports the per-class cost ratio — the k-class analogue of Fig. 2's
+//! `R_L`.
 //!
 //! Expected shape: class 0 is insensitive (both schemes optimize it
 //! first, `R ≈ 1`), and the ratio grows toward the *bottom* of the
@@ -17,8 +18,11 @@
 use crate::report::{fmt, Table};
 use crate::runner::{cost_ratio, ExperimentCtx, TopologyKind};
 use dtr_core::SearchParams;
+use dtr_cost::ObjectiveSpec;
+use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::{LinkId, Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluator, MultiSearch, MultiTrafficCfg};
+use dtr_multi::MultiSearch;
+use dtr_traffic::{MultiDemand, MultiTrafficCfg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -43,11 +47,21 @@ pub struct KOutcome {
 /// search at the same candidate budget as the staged MTR search.
 fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) -> Vec<f64> {
     let k = demands.class_count();
-    let mut ev = MultiEvaluator::new(topo, demands);
+    let matrices = demands.classes.iter().collect();
+    let spec = ObjectiveSpec::load(k);
+    let mut ev = KClassBatchEvaluator::new(topo, matrices, &spec, params.backend)
+        .expect("k-class workloads have k ≥ 2");
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5f5f);
     let n_links = topo.link_count();
 
     let replicate = |w: &WeightVector| vec![w.clone(); k];
+    // Every class routes on the one shared vector, so every class's
+    // backend follows it: candidates then stay one link from the base.
+    let rebase = |ev: &mut KClassBatchEvaluator, w: &WeightVector| {
+        for c in 0..k {
+            ev.rebase(c, w);
+        }
+    };
     let mut cur_w = WeightVector::uniform(topo, 1);
     let mut cur = ev.eval(&replicate(&cur_w));
     let mut best = (cur.cost.clone(), cur.phis.clone());
@@ -56,7 +70,7 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
     // Budget parity with MultiSearch: k stages of n_iters plus k_iters.
     let iters = k * params.n_iters + params.k_iters;
     for _ in 0..iters {
-        let mut best_cand: Option<(dtr_multi::MultiEvaluation, WeightVector)> = None;
+        let mut best_cand: Option<(KClassEvaluation, WeightVector)> = None;
         for _ in 0..params.neighbors {
             let lid = LinkId(rng.random_range(0..n_links as u32));
             let old = cur_w.get(lid);
@@ -77,6 +91,7 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
         }
         match best_cand {
             Some((e, w)) if e.cost < cur.cost => {
+                rebase(&mut ev, &w);
                 cur = e;
                 cur_w = w;
                 if cur.cost < best.0 {
@@ -90,6 +105,7 @@ fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) ->
         }
         if stall >= params.diversify_after {
             dtr_core::neighborhood::perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
+            rebase(&mut ev, &cur_w);
             cur = ev.eval(&replicate(&cur_w));
             stall = 0;
         }
@@ -119,12 +135,17 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<KOutcome> {
         .map(|k| {
             let base = MultiDemand::generate(&topo, &workload(k, ctx.seed));
             // Scale to AD ≈ 0.6 under uniform shared weights.
-            let mut ev = MultiEvaluator::new(&topo, &base);
+            let spec = ObjectiveSpec::load(k);
             let uniform = vec![WeightVector::uniform(&topo, 1); k];
-            let probe = ev.eval(&uniform).avg_utilization(&topo);
+            let probe = KClassBatchEvaluator::with_spec(&topo, &base, &spec)
+                .expect("k ≥ 2")
+                .eval(&uniform)
+                .avg_utilization(&topo);
             let demands = base.scaled(0.6 / probe);
 
-            let mtr = MultiSearch::new(&topo, &demands, params).run();
+            let mtr = MultiSearch::with_spec(&topo, &demands, &spec, params)
+                .expect("k ≥ 2")
+                .run();
             let str_phis = str_baseline(&topo, &demands, params);
             let ratios: Vec<f64> = str_phis
                 .iter()

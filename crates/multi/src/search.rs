@@ -9,13 +9,13 @@
 //! projected onto its leading component (the classes below `c` cannot
 //! influence class `c`, mirroring the paper's FindH/FindL split).
 
-use crate::demand::MultiDemand;
-use crate::eval::{MultiEvaluation, MultiEvaluator};
-use crate::lexk::LexK;
 use dtr_core::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use dtr_core::telemetry::Phase;
 use dtr_core::{SearchParams, SearchTrace};
+use dtr_cost::{LexCost, ObjectiveError, ObjectiveSpec};
+use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::{Topology, WeightVector};
+use dtr_traffic::MultiDemand;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,44 +25,36 @@ pub struct MultiResult {
     /// One weight vector per class, highest priority first.
     pub weights: Vec<WeightVector>,
     /// Evaluation of the returned setting.
-    pub eval: MultiEvaluation,
+    pub eval: KClassEvaluation,
     /// The lexicographic objective value.
-    pub best_cost: LexK,
+    pub best_cost: LexCost,
     /// Telemetry.
     pub trace: SearchTrace,
 }
 
 /// The k-class search.
 pub struct MultiSearch<'a> {
-    evaluator: MultiEvaluator<'a>,
+    evaluator: KClassBatchEvaluator<'a>,
     params: SearchParams,
     initial: Option<Vec<WeightVector>>,
 }
 
 impl<'a> MultiSearch<'a> {
-    /// Prepares a search starting from uniform weights for every class,
-    /// under the all-load objective (thin wrapper over the spec path).
-    pub fn new(topo: &'a Topology, demands: &'a MultiDemand, params: SearchParams) -> Self {
-        params.validate();
-        MultiSearch {
-            evaluator: MultiEvaluator::new(topo, demands),
-            params,
-            initial: None,
-        }
-    }
-
-    /// Prepares a search under a unified [`dtr_cost::ObjectiveSpec`] —
-    /// per-class load or SLA cost components (see
-    /// [`MultiEvaluator::with_spec`]).
+    /// Prepares a search under an [`ObjectiveSpec`] — per-class load or
+    /// SLA cost components — starting from uniform weights for every
+    /// class. Candidates are evaluated by the engine's
+    /// [`KClassBatchEvaluator`] on `params.backend`; both backends give
+    /// bit-identical searches.
     pub fn with_spec(
         topo: &'a Topology,
         demands: &'a MultiDemand,
-        spec: &dtr_cost::ObjectiveSpec,
+        spec: &ObjectiveSpec,
         params: SearchParams,
-    ) -> Result<Self, dtr_cost::ObjectiveError> {
+    ) -> Result<Self, ObjectiveError> {
         params.validate();
+        let matrices = demands.classes.iter().collect();
         Ok(MultiSearch {
-            evaluator: MultiEvaluator::with_spec(topo, demands, spec)?,
+            evaluator: KClassBatchEvaluator::new(topo, matrices, spec, params.backend)?,
             params,
             initial: None,
         })
@@ -96,9 +88,9 @@ impl<'a> MultiSearch<'a> {
             .initial
             .take()
             .unwrap_or_else(|| vec![WeightVector::uniform(topo, 1); k]);
-        let mut eval = self.evaluator.eval(&weights);
+        let mut eval = self.jump_to(&weights);
         let mut best = (eval.cost.clone(), weights.clone());
-        trace.improved(0, Phase::OptimizeHigh, two_view(&eval.cost));
+        trace.improved(0, Phase::OptimizeHigh, eval.cost.two_view());
 
         // Stage per class: optimize class c with classes < c frozen at
         // their best and classes > c at their current settings.
@@ -110,21 +102,21 @@ impl<'a> MultiSearch<'a> {
                     self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
                 if moved && eval.cost < best.0 {
                     best = (eval.cost.clone(), weights.clone());
-                    trace.improved(trace.iterations, Phase::OptimizeHigh, two_view(&eval.cost));
+                    trace.improved(trace.iterations, Phase::OptimizeHigh, eval.cost.two_view());
                     stall = 0;
                 } else {
                     stall += 1;
                 }
                 if stall >= params.diversify_after {
                     perturb_weights(&mut weights[c], params.g1, &params, &mut rng);
-                    eval = self.evaluator.eval(&weights);
+                    eval = self.jump_to(&weights);
                     trace.diversifications += 1;
                     stall = 0;
                 }
             }
             // Freeze this class at its best before optimizing the next.
             weights = best.1.clone();
-            eval = self.evaluator.eval(&weights);
+            eval = self.jump_to(&weights);
         }
 
         // Refinement: rotate across classes.
@@ -135,7 +127,7 @@ impl<'a> MultiSearch<'a> {
             let moved = self.step_class(c, &sampler, &mut weights, &mut eval, &mut rng, &mut trace);
             if moved && eval.cost < best.0 {
                 best = (eval.cost.clone(), weights.clone());
-                trace.improved(trace.iterations, Phase::Refine, two_view(&eval.cost));
+                trace.improved(trace.iterations, Phase::Refine, eval.cost.two_view());
                 stall = 0;
             } else {
                 stall += 1;
@@ -145,7 +137,7 @@ impl<'a> MultiSearch<'a> {
                 for w in weights.iter_mut() {
                     perturb_weights(w, params.g3, &params, &mut rng);
                 }
-                eval = self.evaluator.eval(&weights);
+                eval = self.jump_to(&weights);
                 trace.diversifications += 1;
                 stall = 0;
             }
@@ -162,45 +154,54 @@ impl<'a> MultiSearch<'a> {
         }
     }
 
-    /// One Algorithm 2 pass over class `c`'s weights. Only class `c`'s
-    /// loads are re-routed; all other classes' loads are reused.
+    /// Moves every class's backend base onto `weights` (a start,
+    /// diversification or stage freeze) and evaluates the setting.
+    fn jump_to(&mut self, weights: &[WeightVector]) -> KClassEvaluation {
+        for (c, w) in weights.iter().enumerate() {
+            self.evaluator.rebase(c, w);
+        }
+        self.evaluator.eval(weights)
+    }
+
+    /// One Algorithm 2 pass over class `c`'s weights: the moves that
+    /// change the weights go to the evaluator as one batch, which
+    /// re-routes only class `c` and serves the other classes from cache.
     fn step_class(
         &mut self,
         c: usize,
         sampler: &NeighborhoodSampler,
         weights: &mut [WeightVector],
-        eval: &mut MultiEvaluation,
+        eval: &mut KClassEvaluation,
         rng: &mut StdRng,
         trace: &mut SearchTrace,
     ) -> bool {
-        // Rank links by class c's per-link cost (ties by the class below).
-        let keys: Vec<f64> = eval.phi_per_link[c].clone();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
-
-        let mut best_cand: Option<(MultiEvaluation, WeightVector)> = None;
-        for mv in moves {
-            let mut w = weights[c].clone();
-            mv.apply(&mut w, &self.params);
-            if w == weights[c] {
-                continue;
-            }
-            let mut loads = eval.loads.clone();
-            loads[c] = self.evaluator.class_loads(c, &w);
-            let cand = if self.evaluator.has_sla() {
-                let mut wc = weights.to_vec();
-                wc[c] = w.clone();
-                self.evaluator.assemble_with(loads, &wc)
-            } else {
-                self.evaluator.assemble(loads)
-            };
-            trace.evaluations += 1;
-            if best_cand.as_ref().is_none_or(|(b, _)| cand.cost < b.cost) {
-                best_cand = Some((cand, w));
-            }
-        }
+        let table = RankTable::new(&eval.phi_per_link[c]);
+        let cands: Vec<WeightVector> = sampler
+            .moves(&table, &self.params, rng)
+            .into_iter()
+            .filter_map(|mv| {
+                let mut w = weights[c].clone();
+                mv.apply(&mut w, &self.params);
+                (w != weights[c]).then_some(w)
+            })
+            .collect();
+        trace.evaluations += cands.len();
+        // The first strictly best candidate wins ties.
+        let best_cand = self
+            .evaluator
+            .eval_class_batch(c, &cands, weights)
+            .into_iter()
+            .zip(cands)
+            .reduce(|best, cand| {
+                if cand.0.cost < best.0.cost {
+                    cand
+                } else {
+                    best
+                }
+            });
         match best_cand {
             Some((cand, w)) if cand.cost < eval.cost => {
+                self.evaluator.rebase(c, &w);
                 weights[c] = w;
                 *eval = cand;
                 trace.moves_accepted += 1;
@@ -211,18 +212,11 @@ impl<'a> MultiSearch<'a> {
     }
 }
 
-/// Projects a k-tuple onto the 2-tuple telemetry type (first component +
-/// the sum of the rest) so `SearchTrace` stays shared across crates.
-fn two_view(cost: &LexK) -> dtr_cost::Lex2 {
-    let rest: f64 = cost.as_slice()[1..].iter().sum();
-    dtr_cost::Lex2::new(cost.get(0), rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::MultiTrafficCfg;
     use dtr_graph::gen::{random_topology, RandomTopologyCfg};
+    use dtr_traffic::MultiTrafficCfg;
 
     fn instance(k_extra: usize, seed: u64) -> (Topology, MultiDemand) {
         let topo = random_topology(&RandomTopologyCfg {
@@ -242,12 +236,23 @@ mod tests {
         (topo, demands)
     }
 
+    /// The all-load search over `demands`' class count.
+    fn load_search<'a>(
+        topo: &'a Topology,
+        demands: &'a MultiDemand,
+        params: SearchParams,
+    ) -> MultiSearch<'a> {
+        let spec = ObjectiveSpec::load(demands.class_count());
+        MultiSearch::with_spec(topo, demands, &spec, params).unwrap()
+    }
+
     #[test]
     fn three_class_search_improves_all_levels() {
         let (topo, demands) = instance(2, 5);
-        let mut ev = MultiEvaluator::new(&topo, &demands);
+        let mut ev =
+            KClassBatchEvaluator::with_spec(&topo, &demands, &ObjectiveSpec::load(3)).unwrap();
         let initial = ev.eval(&vec![WeightVector::uniform(&topo, 1); 3]);
-        let res = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(5)).run();
+        let res = load_search(&topo, &demands, SearchParams::tiny().with_seed(5)).run();
         assert_eq!(res.weights.len(), 3);
         assert!(res.best_cost <= initial.cost);
         // Reported cost matches a fresh evaluation of the weights.
@@ -256,25 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn single_class_degenerates_to_str_like_search() {
-        let topo = random_topology(&RandomTopologyCfg {
-            nodes: 10,
-            directed_links: 40,
-            seed: 6,
-        });
-        let base = dtr_traffic::gravity_matrix(10, &dtr_traffic::GravityCfg::default(), 6);
-        let demands = MultiDemand {
-            classes: vec![base],
-        };
-        let res = MultiSearch::new(&topo.clone(), &demands, SearchParams::tiny()).run();
-        assert_eq!(res.best_cost.len(), 1);
-        assert!(res.best_cost.get(0) > 0.0);
-    }
-
-    #[test]
     fn deterministic_in_seed() {
         let (topo, demands) = instance(1, 7);
-        let run = || MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(11)).run();
+        let run = || load_search(&topo, &demands, SearchParams::tiny().with_seed(11)).run();
         let (a, b) = (run(), run());
         assert_eq!(a.best_cost, b.best_cost);
         assert_eq!(a.weights, b.weights);
@@ -288,7 +277,7 @@ mod tests {
         let (topo, demands) = instance(1, 8);
         let ds = demands.as_demand_set();
         let params = SearchParams::quick().with_seed(8);
-        let multi = MultiSearch::new(&topo, &demands, params).run();
+        let multi = load_search(&topo, &demands, params).run();
         let dtr =
             dtr_core::DtrSearch::new(&topo, &ds, dtr_core::Objective::LoadBased, params).run();
         let (m0, d0) = (multi.best_cost.get(0), dtr.eval.phi_h);
@@ -323,8 +312,8 @@ mod tests {
     #[test]
     fn warm_start_never_regresses_from_its_initial_point() {
         let (topo, demands) = instance(2, 4);
-        let base = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(4)).run();
-        let warm = MultiSearch::new(&topo, &demands, SearchParams::tiny().with_seed(40))
+        let base = load_search(&topo, &demands, SearchParams::tiny().with_seed(4)).run();
+        let warm = load_search(&topo, &demands, SearchParams::tiny().with_seed(40))
             .with_initial(base.weights.clone())
             .run();
         assert!(warm.best_cost <= base.best_cost);
@@ -350,8 +339,8 @@ mod tests {
             ],
         };
         let params = SearchParams::tiny().with_seed(9);
-        let r3 = MultiSearch::new(&topo, &demands3, params).run();
-        let r2 = MultiSearch::new(&topo, &demands2, params).run();
+        let r3 = load_search(&topo, &demands3, params).run();
+        let r2 = load_search(&topo, &demands2, params).run();
         // Class 0 sees the identical subproblem in both runs.
         let rel = (r3.best_cost.get(0) - r2.best_cost.get(0)).abs() / r2.best_cost.get(0).max(1.0);
         assert!(rel < 0.30, "class-0 outcomes diverged by {rel}");

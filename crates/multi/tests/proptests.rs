@@ -1,9 +1,15 @@
 //! Property tests for the k-class generalization: the cascade invariants
-//! that must hold for any class count, demand draw and weight setting.
+//! that must hold for any class count, demand draw and weight setting,
+//! and the Full ≡ Incremental invariant for the k-class search.
 
+use dtr_core::SearchParams;
+use dtr_cost::{LexCost, ObjectiveSpec, SlaParams};
+use dtr_engine::{BackendKind, KClassBatchEvaluator};
 use dtr_graph::gen::{random_topology, RandomTopologyCfg};
 use dtr_graph::WeightVector;
-use dtr_multi::{LexK, MultiDemand, MultiEvaluator, MultiTrafficCfg};
+use dtr_multi::MultiSearch;
+use dtr_routing::cascade_classes;
+use dtr_traffic::{MultiDemand, MultiTrafficCfg};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -38,6 +44,14 @@ fn rand_weights(topo: &dtr_graph::Topology, seed: u64, k: usize) -> Vec<WeightVe
         .collect()
 }
 
+fn load_evaluator<'a>(
+    topo: &'a dtr_graph::Topology,
+    demands: &'a MultiDemand,
+) -> KClassBatchEvaluator<'a> {
+    let spec = ObjectiveSpec::load(demands.class_count());
+    KClassBatchEvaluator::with_spec(topo, demands, &spec).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -47,12 +61,10 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
-        let e = ev.eval(&rand_weights(&topo, wseed, k));
+        let e = load_evaluator(&topo, &demands).eval(&rand_weights(&topo, wseed, k));
+        let residuals = cascade_classes(&topo, &e.loads).residuals;
         for c in 1..k {
-            let above = e.residuals(&topo, c - 1);
-            let below = e.residuals(&topo, c);
-            for (hi, lo) in above.iter().zip(&below) {
+            for (hi, lo) in residuals[c - 1].iter().zip(&residuals[c]) {
                 prop_assert!(lo <= hi, "residuals must shrink with priority");
                 prop_assert!(*lo >= 0.0);
             }
@@ -65,8 +77,7 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
-        let e = ev.eval(&rand_weights(&topo, wseed, k));
+        let e = load_evaluator(&topo, &demands).eval(&rand_weights(&topo, wseed, k));
         prop_assert_eq!(e.cost.len(), k);
         for c in 0..k {
             prop_assert!(e.phis[c].is_finite() && e.phis[c] >= 0.0);
@@ -82,7 +93,7 @@ proptest! {
     ) {
         let (topo, demands) = instance(k_extra, seed);
         let k = demands.class_count();
-        let mut ev = MultiEvaluator::new(&topo, &demands);
+        let mut ev = load_evaluator(&topo, &demands);
         let base = rand_weights(&topo, w1, k);
         let mut tweaked = base.clone();
         // Change only the lowest class's weights.
@@ -95,12 +106,42 @@ proptest! {
     }
 
     #[test]
-    fn lexk_order_agrees_with_slice_order(
+    fn lexcost_order_agrees_with_slice_order(
         a in proptest::collection::vec(0.0f64..1e6, 3),
         b in proptest::collection::vec(0.0f64..1e6, 3),
     ) {
-        let la = LexK::new(a.clone());
-        let lb = LexK::new(b.clone());
+        let la = LexCost::new(a.clone());
+        let lb = LexCost::new(b.clone());
         prop_assert_eq!(la < lb, a < b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The k-class search is bit-identical on both evaluation backends:
+    /// same incumbent weights, same cost, same trace.
+    #[test]
+    fn search_is_identical_on_full_and_incremental(
+        k_extra in 2usize..4, seed in 0u64..100, sla in any::<bool>(),
+    ) {
+        let (topo, demands) = instance(k_extra, seed);
+        let k = demands.class_count();
+        let spec = if sla {
+            let tight = SlaParams { bound_s: 0.004, ..SlaParams::default() };
+            ObjectiveSpec::uniform_sla(k, tight)
+        } else {
+            ObjectiveSpec::load(k)
+        };
+        let run = |backend| {
+            let params = SearchParams::tiny().with_seed(seed).with_backend(backend);
+            MultiSearch::with_spec(&topo, &demands, &spec, params).unwrap().run()
+        };
+        let full = run(BackendKind::Full);
+        let incr = run(BackendKind::Incremental);
+        prop_assert_eq!(&full.weights, &incr.weights);
+        prop_assert_eq!(&full.best_cost, &incr.best_cost);
+        prop_assert_eq!(&full.eval, &incr.eval);
+        prop_assert_eq!(&full.trace, &incr.trace);
     }
 }

@@ -29,9 +29,11 @@ use dtr_graph::gen::{
 };
 use dtr_graph::rocketfuel::{rocketfuel_topology, RocketfuelCfg};
 use dtr_graph::Topology;
-use dtr_multi::{MultiDemand, MultiTrafficCfg};
 use dtr_routing::FailurePolicy;
-use dtr_traffic::{family_demands, DemandSet, FamilyTrafficCfg, HighPriModel, TrafficFamily};
+use dtr_traffic::{
+    family_demands, DemandSet, FamilyTrafficCfg, HighPriModel, MultiDemand, MultiTrafficCfg,
+    TrafficFamily,
+};
 use serde::{Deserialize, Serialize};
 
 /// A topology family plus its parameters — every generator the

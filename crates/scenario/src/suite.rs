@@ -33,11 +33,12 @@ use dtr_core::{
     DtrSearch, Objective, ObjectiveSpec, PortfolioMode, PortfolioParams, PortfolioSearch,
     RobustCost, RobustEvaluator, ScenarioCombine, Scheme, StrSearch, StrategyKind,
 };
+use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluation, MultiEvaluator, MultiSearch};
+use dtr_multi::MultiSearch;
 use dtr_routing::{DeploymentSet, Evaluator, FailurePolicy};
-use dtr_traffic::DemandSet;
+use dtr_traffic::{DemandSet, MultiDemand};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -402,7 +403,7 @@ fn aggregate_two_class(demands: &MultiDemand) -> DemandSet {
 /// the objective's leading component plus the sum of the rest.
 fn scheme_report_k(
     topo: &Topology,
-    eval: &MultiEvaluation,
+    eval: &KClassEvaluation,
     evaluations: usize,
     elapsed_s: f64,
 ) -> SchemeReport {
@@ -431,16 +432,15 @@ pub fn search_incumbents_k(spec: &ScenarioSpec, smoke: bool) -> SearchedInstance
     let search = spec.search();
     let params = search.params(smoke);
 
-    let mut evaluator =
-        MultiEvaluator::with_spec(&topo, &demands, &objective).expect("manifest validated");
-
     // Baseline: single-topology STR on the aggregated two-class view.
     let start = Instant::now();
     let agg = aggregate_two_class(&demands);
     let res = StrSearch::new(&topo, &agg, Objective::LoadBased, params).run();
     let str_elapsed = start.elapsed().as_secs_f64();
     let str_weights = vec![res.weights; k];
-    let baseline_eval = evaluator.eval(&str_weights);
+    let baseline_eval = KClassBatchEvaluator::with_spec(&topo, &demands, &objective)
+        .expect("manifest validated")
+        .eval(&str_weights);
     let baseline = scheme_report_k(&topo, &baseline_eval, res.trace.evaluations, str_elapsed);
 
     // DTR: the staged k-class search under the unified objective.

@@ -33,12 +33,13 @@
 use crate::spec::ScenarioSpec;
 use crate::suite::{search_incumbents, search_incumbents_k, SuiteCfg};
 use dtr_core::{derive_stream_seed, Objective};
+use dtr_cost::ObjectiveSpec;
+use dtr_engine::KClassBatchEvaluator;
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_multi::{MultiDemand, MultiEvaluator};
 use dtr_routing::{DeploymentSet, Evaluator};
 use dtr_sim::{BackendReport, DesBackend, FluidSim, ForwardingState, KClassReport, TrafficClass};
-use dtr_traffic::{DemandSet, TrafficMatrix};
+use dtr_traffic::{DemandSet, MultiDemand, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 
 /// Fluid loads must match the analytic evaluator's to this relative
@@ -593,7 +594,9 @@ fn validate_scheme_k(
     packets: u64,
 ) -> SchemeValidation {
     let k = demands.class_count();
-    let analytic = MultiEvaluator::new(topo, demands).eval(weights);
+    let analytic = KClassBatchEvaluator::with_spec(topo, demands, &ObjectiveSpec::load(k))
+        .expect("k-class instances have k ≥ 3")
+        .eval(weights);
     let matrices: Vec<&TrafficMatrix> = demands.classes.iter().collect();
     let fluid_backend = FluidSim {
         cfg: dtr_sim::FluidCfg {

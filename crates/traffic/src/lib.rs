@@ -18,12 +18,14 @@
 //! [`TrafficMatrix`] is a dense `|V|×|V|` array (demands are dense at the
 //! 16–30 node scale of the paper); [`DemandSet`] bundles both classes and
 //! supports uniform scaling, which is how the experiments sweep network
-//! load.
+//! load. [`MultiDemand`] generalizes the pair to `k` strictly ordered
+//! classes for the k-class extension beyond the paper.
 
 pub mod families;
 pub mod gravity;
 pub mod highpri;
 pub mod matrix;
+pub mod multi;
 
 pub use families::{
     family_demands, hotspot_matrix, skewed_gravity_matrix, stride_matrix, FamilyTrafficCfg,
@@ -32,6 +34,7 @@ pub use families::{
 pub use gravity::{gravity_matrix, GravityCfg};
 pub use highpri::{random_highpri, sink_highpri, HighPriModel, SinkPattern};
 pub use matrix::TrafficMatrix;
+pub use multi::{MultiDemand, MultiTrafficCfg};
 
 use dtr_graph::Topology;
 use serde::{Deserialize, Serialize};

@@ -6,8 +6,8 @@
 //! multipliers `m ~ U[1, 4]` — the same coupling rule as the paper's
 //! high-priority generator, applied per class.
 
+use crate::{gravity_matrix, random_highpri, DemandSet, GravityCfg, TrafficMatrix};
 use dtr_graph::Topology;
-use dtr_traffic::{gravity_matrix, random_highpri, GravityCfg, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for a k-class demand set.
@@ -96,13 +96,13 @@ impl MultiDemand {
 
     /// A two-class view for cross-checking against `dtr-core` (only
     /// valid when `class_count() == 2`).
-    pub fn as_demand_set(&self) -> dtr_traffic::DemandSet {
+    pub fn as_demand_set(&self) -> DemandSet {
         assert_eq!(
             self.classes.len(),
             2,
             "as_demand_set needs exactly 2 classes"
         );
-        dtr_traffic::DemandSet {
+        DemandSet {
             high: self.classes[0].clone(),
             low: self.classes[1].clone(),
         }

@@ -12,8 +12,11 @@
 //! ```
 
 use dtr::core::SearchParams;
+use dtr::cost::ObjectiveSpec;
 use dtr::graph::gen::{random_topology, RandomTopologyCfg};
-use dtr::multi::{MultiDemand, MultiSearch, MultiTrafficCfg};
+use dtr::multi::MultiSearch;
+use dtr::routing::cascade_classes;
+use dtr::traffic::{MultiDemand, MultiTrafficCfg};
 
 fn main() {
     let topo = random_topology(&RandomTopologyCfg::default());
@@ -37,15 +40,15 @@ fn main() {
     );
 
     println!("optimizing three weight topologies (staged lexicographic search)...");
-    let res = MultiSearch::new(&topo, &demands, SearchParams::experiment().with_seed(5)).run();
+    let params = SearchParams::experiment().with_seed(5);
+    let res = MultiSearch::with_spec(&topo, &demands, &ObjectiveSpec::load(3), params)
+        .expect("three classes")
+        .run();
+    let residuals = cascade_classes(&topo, &res.eval.loads).residuals;
 
     println!("\nfinal lexicographic cost: {}", res.best_cost);
     for (i, name) in ["voice", "business", "bulk"].iter().enumerate() {
-        let residual_min = res
-            .eval
-            .residuals(&topo, i)
-            .into_iter()
-            .fold(f64::MAX, f64::min);
+        let residual_min = residuals[i].iter().copied().fold(f64::MAX, f64::min);
         println!(
             "  class {i} ({name:>8}): Φ = {:>12.1}, worst residual capacity seen: {:>6.1} Mbit/s",
             res.eval.phis[i], residual_min
