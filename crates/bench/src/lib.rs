@@ -40,9 +40,18 @@ use dtr_core::SearchParams;
 use dtr_experiments::ExperimentCtx;
 
 /// Builds the experiment context from CLI args (`--quick`, `--paper`,
-/// `--seed <n>`, `--points <n>`).
+/// `--seed <n>`, `--points <n>`). A malformed value prints the usage
+/// and exits with status 2.
 pub fn ctx_from_args() -> ExperimentCtx {
     let args: Vec<String> = std::env::args().collect();
+    parse_ctx(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: <figure> [--quick] [--paper] [--seed N] [--points N]");
+        std::process::exit(2);
+    })
+}
+
+/// [`ctx_from_args`] over an explicit argument list.
+fn parse_ctx(args: &[String]) -> Result<ExperimentCtx, String> {
     let mut ctx = ExperimentCtx::default();
     if args.iter().any(|a| a == "--quick") {
         ctx = ExperimentCtx::smoke();
@@ -50,20 +59,23 @@ pub fn ctx_from_args() -> ExperimentCtx {
     if args.iter().any(|a| a == "--paper") {
         ctx.params = SearchParams::paper();
     }
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        ctx.seed = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--seed needs an integer");
-        ctx.params = ctx.params.with_seed(ctx.seed);
+    if let Some(seed) = value_after(args, "--seed")? {
+        ctx.seed = seed;
+        ctx.params = ctx.params.with_seed(seed);
     }
-    if let Some(i) = args.iter().position(|a| a == "--points") {
-        ctx.load_points = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--points needs an integer");
-    }
-    ctx
+    ctx.load_points = value_after(args, "--points")?.unwrap_or(ctx.load_points);
+    Ok(ctx)
+}
+
+/// The integer following `flag`, if the flag is present.
+fn value_after<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).and_then(|s| s.parse().ok());
+    value
+        .map(Some)
+        .ok_or_else(|| format!("{flag} needs a non-negative integer"))
 }
 
 /// Prints a table and writes it as CSV, reporting the file path.
@@ -76,6 +88,16 @@ pub fn emit(name: &str, table: &dtr_experiments::Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_flags_are_errors_not_panics() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(parse_ctx(&args(&["fig", "--seed", "x"])).is_err());
+        assert!(parse_ctx(&args(&["fig", "--points"])).is_err());
+        assert!(parse_ctx(&args(&["fig", "--seed", "-1"])).is_err());
+        let ctx = parse_ctx(&args(&["fig", "--quick", "--seed", "5", "--points", "3"])).unwrap();
+        assert_eq!((ctx.seed, ctx.load_points), (5, 3));
+    }
 
     #[test]
     fn default_ctx_is_experiment_budget() {

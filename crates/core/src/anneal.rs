@@ -226,33 +226,13 @@ impl<'a> AnnealSearch<'a> {
         w: &DualWeights,
         prev: Option<(&DualWeights, &Evaluation)>,
     ) -> Evaluation {
-        if let (AnnealMode::Dtr, Some((pw, pe))) = (self.mode, prev) {
-            if w.high == pw.high {
-                // Only the low class moved: reuse the cached high side.
-                let high = self
-                    .evaluator
-                    .high_side_from_loads(pe.high_loads.clone(), &w.high);
-                if let Some(dep) = self.evaluator.deployment().cloned() {
-                    // Partial deployment: the low class rides the hybrid
-                    // DAGs (the high side is still reusable — the high
-                    // vector did not move).
-                    let (low, undeliverable) =
-                        self.evaluator.low_loads_deployed(&dep, &w.high, &w.low);
-                    return self
-                        .evaluator
-                        .finish_deployed(high, low, undeliverable)
-                        .expect("high side built by this evaluator carries the SLA walk");
-                }
-                let low = self.evaluator.low_loads(&w.low);
-                return self
-                    .evaluator
-                    .finish(high, low)
-                    .expect("high side built by this evaluator carries the SLA walk");
+        match (self.mode, prev) {
+            (AnnealMode::Str, _) => self.evaluator.eval_str(&w.high),
+            // Only the low class moved: reuse the cached high side.
+            (AnnealMode::Dtr, Some((pw, pe))) if w.high == pw.high => {
+                self.evaluator.eval_dual_with_high(pe.high_side(), w)
             }
-        }
-        match self.mode {
-            AnnealMode::Str => self.evaluator.eval_str(&w.high),
-            AnnealMode::Dtr => self.evaluator.eval_dual(w),
+            (AnnealMode::Dtr, _) => self.evaluator.eval_dual(w),
         }
     }
 

@@ -1,18 +1,27 @@
 //! Algorithm 1: the DTR weight search.
 //!
 //! An iterated local search over the dual weight vector `W = {W^H, W^L}`
-//! in three routines (see the crate docs). The expensive step is candidate
-//! evaluation; it is delegated to the `dtr-engine`
-//! [`BatchEvaluator`], which combines three layers of reuse:
+//! in three routines (see the crate docs). All three share one loop
+//! shape (`DtrSearch::routine`) around one neighbourhood step,
+//! Algorithm 2 (`DtrSearch::find`), which runs on a [`Side`]: as
+//! `FindH` on `W^H` and as `FindL` on `W^L`. The expensive part of the
+//! step is candidate evaluation; it is one call to the `dtr-engine`
+//! [`BatchEvaluator`] ([`BatchEvaluator::eval_side_batch`]), which
+//! combines three layers of reuse:
 //!
 //! - a `FindH` candidate re-routes **only the high class** (`W^L` and the
-//!   cached low-class loads are untouched), and vice versa for `FindL` —
+//!   current low-class loads are reused), and vice versa for `FindL` —
 //!   the paper's per-class split;
 //! - under the (default) incremental backend, re-routing a class repairs
 //!   only the destinations whose shortest-path DAG the move's one-or-two
 //!   weight deltas actually affect (dynamic Dijkstra);
 //! - an LRU cache keyed by weight-vector hash short-circuits revisited
 //!   candidates entirely.
+//!
+//! Partial deployment ([`DtrSearch::with_deployment`]) is a property of
+//! the engine, not of this loop: under a partial [`DeploymentSet`] the
+//! same call routes the low class down the hybrid DAGs (so a `FindH`
+//! move re-routes it too) and charges trapped demand.
 //!
 //! Backend choice never changes results — both produce bit-identical
 //! evaluations — so seeded runs are reproducible across backends.
@@ -21,10 +30,10 @@ use crate::neighborhood::{perturb_weights, NeighborhoodSampler, RankTable};
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
-use dtr_engine::{BatchEvaluator, SharedBound};
+use dtr_engine::{BatchEvaluator, SharedBound, Side};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{Topology, WeightVector};
-use dtr_routing::{ClassLoads, Evaluation, HighSide};
+use dtr_routing::{DeploymentSet, Evaluation};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,51 +52,17 @@ pub struct DtrResult {
     pub trace: SearchTrace,
 }
 
-/// The working solution with its cached evaluation pieces.
-struct State {
+/// One run's mutable context: the working solution `w` with its
+/// evaluation, the incumbent, the neighbourhood sampler, the RNG stream
+/// and the telemetry.
+struct Walk {
     w: DualWeights,
-    high: HighSide,
-    low_loads: ClassLoads,
     eval: Evaluation,
-}
-
-impl State {
-    /// Evaluates `w` through the engine and rebases both class backends
-    /// onto it, so subsequent candidate deltas are small. Under a bound
-    /// partial deployment the low class rides the hybrid DAGs and
-    /// trapped demand is penalized (see `dtr_routing::deploy`).
-    fn build(engine: &mut BatchEvaluator<'_>, w: DualWeights) -> State {
-        engine.rebase_high(&w.high);
-        engine.rebase_low(&w.low);
-        if engine.deployment().is_some() {
-            let (high, low_loads, undeliverable) = engine
-                .eval_deployed_high_batch(std::slice::from_ref(&w.high), &w.low)
-                .pop()
-                .unwrap();
-            let eval = engine
-                .evaluator()
-                .finish_deployed(high.clone(), low_loads.clone(), undeliverable)
-                .expect("engine high sides carry the SLA walk");
-            return State {
-                w,
-                high,
-                low_loads,
-                eval,
-            };
-        }
-        let high = engine.eval_high(&w.high);
-        let low_loads = engine.eval_low(&w.low);
-        let eval = engine
-            .evaluator()
-            .finish(high.clone(), low_loads.clone())
-            .expect("engine high sides carry the SLA walk");
-        State {
-            w,
-            high,
-            low_loads,
-            eval,
-        }
-    }
+    best_w: DualWeights,
+    best_cost: Lex2,
+    sampler: NeighborhoodSampler,
+    rng: StdRng,
+    trace: SearchTrace,
 }
 
 /// Algorithm 1, bound to one problem instance.
@@ -133,7 +108,7 @@ impl<'a> DtrSearch<'a> {
     /// `FindH` moves re-route the low class too (legacy next-hops follow
     /// the high DAGs). A full set is a no-op — the search stays
     /// bit-identical to the undeployed path. Load-based objective only.
-    pub fn with_deployment(mut self, dep: dtr_routing::DeploymentSet) -> Self {
+    pub fn with_deployment(mut self, dep: DeploymentSet) -> Self {
         self.engine
             .set_deployment(Some(dep))
             .expect("DtrSearch deployment: load-based objective and matching node count required");
@@ -151,277 +126,155 @@ impl<'a> DtrSearch<'a> {
 
     /// Runs the three routines and returns the best setting found.
     pub fn run(mut self) -> DtrResult {
-        let params = self.params;
-        let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
+        let (w, eval) = self.start(self.initial.clone());
+        let mut walk = Walk {
+            best_w: w.clone(),
+            best_cost: eval.cost,
+            w,
+            eval,
+            sampler: NeighborhoodSampler::new(self.engine.topo().link_count(), &self.params),
+            rng: StdRng::seed_from_u64(self.params.seed),
+            trace: SearchTrace::default(),
         };
-        let checkpoint = |c: Lex2, trace: &mut SearchTrace| {
-            if let Some(b) = &bound {
-                if b.dominates(c.primary) {
-                    trace.dominated_checkpoints += 1;
-                }
-            }
-        };
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let sampler = NeighborhoodSampler::new(self.engine.topo().link_count(), &params);
-        let mut trace = SearchTrace::default();
-
-        let mut state = State::build(&mut self.engine, self.initial.clone());
-        let mut best_w = state.w.clone();
-        let mut best_cost = state.eval.cost;
-        trace.improved(0, Phase::OptimizeHigh, best_cost);
-        publish(best_cost);
+        walk.trace.improved(0, Phase::OptimizeHigh, walk.best_cost);
+        self.publish(walk.best_cost);
 
         // --- Routine 1: optimize W^H, W^L fixed (lines 3–12). ---
-        let mut stall = 0usize;
-        for _ in 0..params.n_iters {
-            trace.iterations += 1;
-            let moved = self.find_h(&mut state, &sampler, &mut rng, &mut trace);
-            if moved && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::OptimizeHigh, best_cost);
-                publish(best_cost);
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
-                perturb_weights(&mut state.w.high, params.g1, &params, &mut rng);
-                state = State::build(&mut self.engine, state.w);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
+        self.routine(&mut walk, Phase::OptimizeHigh);
 
         // --- Routine 2: W^H frozen at W^H*, optimize W^L (lines 13–24).
         // Primary cost is now constant, so lexicographic comparison
         // reduces to Φ_L.
-        state.w.high = best_w.high.clone();
-        state = State::build(&mut self.engine, state.w);
-        if state.eval.cost < best_cost {
+        walk.w.high = walk.best_w.high.clone();
+        (walk.w, walk.eval) = self.start(walk.w);
+        if walk.eval.cost < walk.best_cost {
             // W^L drifted only via diversification; refresh incumbents.
-            best_cost = state.eval.cost;
-            best_w = state.w.clone();
-            publish(best_cost);
+            walk.best_cost = walk.eval.cost;
+            walk.best_w = walk.w.clone();
+            self.publish(walk.best_cost);
         }
-        let mut stall = 0usize;
-        for _ in 0..params.n_iters {
-            trace.iterations += 1;
-            let moved = self.find_l(&mut state, &sampler, &mut rng, &mut trace);
-            if moved && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::OptimizeLow, best_cost);
-                publish(best_cost);
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-            if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
-                perturb_weights(&mut state.w.low, params.g2, &params, &mut rng);
-                state = State::build(&mut self.engine, state.w);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
+        self.routine(&mut walk, Phase::OptimizeLow);
 
         // --- Routine 3: joint refinement around W* (lines 25–38). ---
-        state = State::build(&mut self.engine, best_w.clone());
+        (walk.w, walk.eval) = self.start(walk.best_w.clone());
+        self.routine(&mut walk, Phase::Refine);
+
+        let eval = self.engine.evaluator().eval_dual(&walk.best_w);
+        debug_assert_eq!(eval.cost, walk.best_cost);
+        DtrResult {
+            weights: walk.best_w,
+            eval,
+            best_cost: walk.best_cost,
+            trace: walk.trace,
+        }
+    }
+
+    /// Evaluates `w` through the engine and rebases both class backends
+    /// onto it, so subsequent candidate deltas are small.
+    fn start(&mut self, w: DualWeights) -> (DualWeights, Evaluation) {
+        self.engine.rebase_high(&w.high);
+        self.engine.rebase_low(&w.low);
+        let eval = self.engine.eval_dual(&w);
+        (w, eval)
+    }
+
+    /// Publishes an incumbent cost to the shared bound, if any.
+    fn publish(&self, cost: Lex2) {
+        if let Some(b) = &self.bound {
+            b.observe(cost.primary);
+        }
+    }
+
+    /// One routine of Algorithm 1, by its `phase`: rounds of one
+    /// [`Self::find`] pass per moved side, tracking the incumbent. After
+    /// `diversify_after` rounds without improvement the moved vectors
+    /// are perturbed and the search restarts there — from the working
+    /// solution in routines 1 and 2, from the incumbent in routine 3
+    /// (lines 33–36: `g3` is smaller, so the restart stays near `W*`).
+    fn routine(&mut self, walk: &mut Walk, phase: Phase) {
+        let params = self.params;
+        let (sides, iters, g): (&[Side], _, _) = match phase {
+            Phase::OptimizeHigh => (&[Side::High], params.n_iters, params.g1),
+            Phase::OptimizeLow => (&[Side::Low], params.n_iters, params.g2),
+            _ => (&[Side::High, Side::Low], params.k_iters, params.g3),
+        };
         let mut stall = 0usize;
-        for _ in 0..params.k_iters {
-            trace.iterations += 1;
-            let moved_h = self.find_h(&mut state, &sampler, &mut rng, &mut trace);
-            let moved_l = self.find_l(&mut state, &sampler, &mut rng, &mut trace);
-            if (moved_h || moved_l) && state.eval.cost < best_cost {
-                best_cost = state.eval.cost;
-                best_w = state.w.clone();
-                trace.improved(trace.iterations, Phase::Refine, best_cost);
-                publish(best_cost);
+        for _ in 0..iters {
+            walk.trace.iterations += 1;
+            let mut moved = false;
+            for &side in sides {
+                moved |= self.find(side, walk);
+            }
+            if moved && walk.eval.cost < walk.best_cost {
+                walk.best_cost = walk.eval.cost;
+                walk.best_w = walk.w.clone();
+                let iteration = walk.trace.iterations;
+                walk.trace.improved(iteration, phase, walk.best_cost);
+                self.publish(walk.best_cost);
                 stall = 0;
             } else {
                 stall += 1;
             }
             if stall >= params.diversify_after {
-                checkpoint(best_cost, &mut trace);
-                // Restart from the incumbent, slightly perturbed (lines
-                // 33–36): g3 is smaller so the restart stays near W*.
-                let mut w = best_w.clone();
-                perturb_weights(&mut w.high, params.g3, &params, &mut rng);
-                perturb_weights(&mut w.low, params.g3, &params, &mut rng);
-                state = State::build(&mut self.engine, w);
-                trace.diversifications += 1;
+                if let Some(b) = &self.bound {
+                    if b.dominates(walk.best_cost.primary) {
+                        walk.trace.dominated_checkpoints += 1;
+                    }
+                }
+                let mut w = match phase {
+                    Phase::Refine => walk.best_w.clone(),
+                    _ => walk.w.clone(),
+                };
+                for &side in sides {
+                    perturb_weights(side.of_mut(&mut w), g, &params, &mut walk.rng);
+                }
+                (walk.w, walk.eval) = self.start(w);
+                walk.trace.diversifications += 1;
                 stall = 0;
             }
         }
-
-        let eval = self.engine.evaluator().eval_dual(&best_w);
-        debug_assert_eq!(eval.cost, best_cost);
-        DtrResult {
-            weights: best_w,
-            eval,
-            best_cost,
-            trace,
-        }
     }
 
-    /// One `FindH` pass (Algorithm 2): build the neighborhood from the
-    /// current link ranks, evaluate the candidates, move if the best one
-    /// improves on the current solution. Returns whether a move happened.
-    fn find_h(
-        &mut self,
-        state: &mut State,
-        sampler: &NeighborhoodSampler,
-        rng: &mut StdRng,
-        trace: &mut SearchTrace,
-    ) -> bool {
-        let ranks = self.engine.evaluator().link_ranks(&state.eval);
-        let keys: Vec<Lex2> = ranks.iter().map(|r| r.high).collect();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
+    /// One `FindH` / `FindL` pass (Algorithm 2) on `side`: rank the links
+    /// by the current evaluation (`FindL` by `Φ_L,l` alone, because `W^L`
+    /// cannot affect the high class, §4), sample moves, evaluate the
+    /// non-degenerate candidates as one engine batch, and move to the
+    /// first strictly best one if it improves on the current solution.
+    /// Returns whether a move happened.
+    fn find(&mut self, side: Side, walk: &mut Walk) -> bool {
+        let ranks = self.engine.evaluator().link_ranks(&walk.eval);
+        let table = match side {
+            Side::High => RankTable::new(&ranks.iter().map(|r| r.high).collect::<Vec<_>>()),
+            Side::Low => RankTable::new(&ranks.iter().map(|r| r.low).collect::<Vec<_>>()),
+        };
+        let moves = walk.sampler.moves(&table, &self.params, &mut walk.rng);
 
-        // Materialize the non-degenerate candidates, then evaluate them
-        // as one engine batch (incremental repair or cache hit each).
+        let cur = side.of(&walk.w);
         let cands: Vec<WeightVector> = moves
             .into_iter()
             .filter_map(|mv| {
-                let mut wh = state.w.high.clone();
-                mv.apply(&mut wh, &self.params);
-                (wh != state.w.high).then_some(wh) // drop clamped no-ops
+                let mut w = cur.clone();
+                mv.apply(&mut w, &self.params);
+                (w != *cur).then_some(w) // drop clamped no-ops
             })
             .collect();
-        if self.engine.deployment().is_some() {
-            // A high-side move re-routes the low class too (legacy nodes
-            // forward it on the high DAGs), so candidates carry fresh
-            // hybrid low loads alongside their high sides.
-            let results = self.engine.eval_deployed_high_batch(&cands, &state.w.low);
-            let mut best: Option<(Evaluation, HighSide, ClassLoads, WeightVector)> = None;
-            for (wh, (high, low_loads, undeliverable)) in cands.into_iter().zip(results) {
-                let eval = self
-                    .engine
-                    .evaluator()
-                    .finish_deployed(high.clone(), low_loads.clone(), undeliverable)
-                    .expect("engine high sides carry the SLA walk");
-                trace.evaluations += 1;
-                if best.as_ref().is_none_or(|(b, _, _, _)| eval.cost < b.cost) {
-                    best = Some((eval, high, low_loads, wh));
-                }
-            }
-            return match best {
-                Some((eval, high, low_loads, wh)) if eval.cost < state.eval.cost => {
-                    state.w.high = wh;
-                    state.high = high;
-                    state.low_loads = low_loads;
-                    state.eval = eval;
-                    self.engine.rebase_high(&state.w.high);
-                    trace.moves_accepted += 1;
-                    true
-                }
-                _ => false,
-            };
-        }
-        let highs = self.engine.eval_high_batch(&cands);
+        let evals = self
+            .engine
+            .eval_side_batch(side, &walk.w, &walk.eval, &cands);
+        walk.trace.evaluations += evals.len();
 
-        let mut best: Option<(Evaluation, HighSide, WeightVector)> = None;
-        for (wh, high) in cands.into_iter().zip(highs) {
-            let eval = self
-                .engine
-                .evaluator()
-                .finish(high.clone(), state.low_loads.clone())
-                .expect("engine high sides carry the SLA walk");
-            trace.evaluations += 1;
-            if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                best = Some((eval, high, wh));
+        let mut best: Option<(Evaluation, WeightVector)> = None;
+        for (w, eval) in cands.into_iter().zip(evals) {
+            if best.as_ref().is_none_or(|(b, _)| eval.cost < b.cost) {
+                best = Some((eval, w));
             }
         }
         match best {
-            Some((eval, high, wh)) if eval.cost < state.eval.cost => {
-                state.w.high = wh;
-                state.high = high;
-                state.eval = eval;
-                self.engine.rebase_high(&state.w.high);
-                trace.moves_accepted += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// One `FindL` pass: identical structure, but candidates re-route only
-    /// the low class and reuse the cached high side. Ranking uses
-    /// `Φ_L,l` only, because `W^L` cannot affect the high class (§4).
-    fn find_l(
-        &mut self,
-        state: &mut State,
-        sampler: &NeighborhoodSampler,
-        rng: &mut StdRng,
-        trace: &mut SearchTrace,
-    ) -> bool {
-        let ranks = self.engine.evaluator().link_ranks(&state.eval);
-        let keys: Vec<f64> = ranks.iter().map(|r| r.low).collect();
-        let table = RankTable::new(&keys);
-        let moves = sampler.moves(&table, &self.params, rng);
-
-        let cands: Vec<WeightVector> = moves
-            .into_iter()
-            .filter_map(|mv| {
-                let mut wl = state.w.low.clone();
-                mv.apply(&mut wl, &self.params);
-                (wl != state.w.low).then_some(wl)
-            })
-            .collect();
-        if self.engine.deployment().is_some() {
-            let results = self.engine.eval_deployed_low_batch(&state.w.high, &cands);
-            let mut best: Option<(Evaluation, ClassLoads, WeightVector)> = None;
-            for (wl, (low_loads, undeliverable)) in cands.into_iter().zip(results) {
-                let eval = self
-                    .engine
-                    .evaluator()
-                    .finish_deployed(state.high.clone(), low_loads.clone(), undeliverable)
-                    .expect("engine high sides carry the SLA walk");
-                trace.evaluations += 1;
-                if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                    best = Some((eval, low_loads, wl));
-                }
-            }
-            return match best {
-                Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
-                    state.w.low = wl;
-                    state.low_loads = low_loads;
-                    state.eval = eval;
-                    self.engine.rebase_low(&state.w.low);
-                    trace.moves_accepted += 1;
-                    true
-                }
-                _ => false,
-            };
-        }
-        let loads = self.engine.eval_low_batch(&cands);
-
-        let mut best: Option<(Evaluation, ClassLoads, WeightVector)> = None;
-        for (wl, low_loads) in cands.into_iter().zip(loads) {
-            let eval = self
-                .engine
-                .evaluator()
-                .finish(state.high.clone(), low_loads.clone())
-                .expect("engine high sides carry the SLA walk");
-            trace.evaluations += 1;
-            if best.as_ref().is_none_or(|(b, _, _)| eval.cost < b.cost) {
-                best = Some((eval, low_loads, wl));
-            }
-        }
-        match best {
-            Some((eval, low_loads, wl)) if eval.cost < state.eval.cost => {
-                state.w.low = wl;
-                state.low_loads = low_loads;
-                state.eval = eval;
-                self.engine.rebase_low(&state.w.low);
-                trace.moves_accepted += 1;
+            Some((eval, w)) if eval.cost < walk.eval.cost => {
+                self.engine.rebase(side, &w);
+                *side.of_mut(&mut walk.w) = w;
+                walk.eval = eval;
+                walk.trace.moves_accepted += 1;
                 true
             }
             _ => false,

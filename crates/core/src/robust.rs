@@ -52,7 +52,7 @@ use crate::params::SearchParams;
 use crate::scheme::Scheme;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{phi, Lex2, Objective};
-use dtr_engine::{BackendKind, BatchEvaluator, SharedBound};
+use dtr_engine::{BackendKind, BatchEvaluator, SharedBound, Side};
 use dtr_graph::weights::DualWeights;
 use dtr_graph::{LinkId, Topology, WeightVector};
 use dtr_routing::{survivable_duplex_failures, FailureScenario};
@@ -219,8 +219,8 @@ impl<'a> RobustEvaluator<'a> {
 
     /// Full robust evaluation of one setting.
     pub fn eval(&mut self, w: &DualWeights) -> RobustCost {
-        let h = self.engine.high_loads(&w.high);
-        let l = self.engine.low_loads(&w.low);
+        let h = self.engine.class_loads(Side::High, &w.high);
+        let l = self.engine.class_loads(Side::Low, &w.low);
         let intact = cost_from_loads(self.topo, &h, &l);
 
         let mut worst_h = intact.primary;

@@ -64,6 +64,7 @@ pub use kclass::{KClassBatchEvaluator, KClassEvaluation};
 pub use state::{CandidateEval, DestState, FlowState};
 
 use dtr_cost::{Objective, ObjectiveError, ObjectiveSpec};
+use dtr_graph::weights::DualWeights;
 use dtr_graph::{NodeId, ShortestPathDag, SpfWorkspace, Topology, WeightVector};
 use dtr_routing::{
     hybrid_low_dag, push_demand_down_dag, sla_evaluation, trapped_flow, ClassLoads, DeploymentSet,
@@ -74,6 +75,34 @@ use std::sync::Arc;
 
 /// Default LRU capacity per class cache.
 const DEFAULT_CACHE_CAPACITY: usize = 512;
+
+/// Which class's weight vector a candidate batch moves: `W^H` (the
+/// paper's `FindH`) or `W^L` (`FindL`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The high-priority class.
+    High,
+    /// The low-priority class.
+    Low,
+}
+
+impl Side {
+    /// The vector of `w` this side moves.
+    pub fn of(self, w: &DualWeights) -> &WeightVector {
+        match self {
+            Side::High => &w.high,
+            Side::Low => &w.low,
+        }
+    }
+
+    /// Mutable [`Self::of`].
+    pub fn of_mut(self, w: &mut DualWeights) -> &mut WeightVector {
+        match self {
+            Side::High => &mut w.high,
+            Side::Low => &mut w.low,
+        }
+    }
+}
 
 /// The batch candidate evaluator the searches drive.
 ///
@@ -86,9 +115,7 @@ const DEFAULT_CACHE_CAPACITY: usize = 512;
 /// incremental backend's repairs stay small.
 pub struct BatchEvaluator<'a> {
     evaluator: Evaluator<'a>,
-    kind: BackendKind,
     topo: &'a Topology,
-    demands: &'a DemandSet,
     high: LazyBackend<'a>,
     low: LazyBackend<'a>,
     joint: LazyBackend<'a>,
@@ -162,9 +189,7 @@ impl<'a> BatchEvaluator<'a> {
         let w0 = WeightVector::uniform(topo, 1);
         BatchEvaluator {
             evaluator: Evaluator::new(topo, demands, objective),
-            kind,
             topo,
-            demands,
             high: LazyBackend::new(kind, topo, vec![&demands.high], w0.clone()),
             low: LazyBackend::new(kind, topo, vec![&demands.low], w0.clone()),
             joint: LazyBackend::new(kind, topo, vec![&demands.high, &demands.low], w0),
@@ -198,11 +223,6 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
-    /// The backend kind in use.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     /// The underlying cost evaluator (for `finish`, `link_ranks`,
     /// `eval_dual`, …).
     pub fn evaluator(&mut self) -> &mut Evaluator<'a> {
@@ -214,9 +234,12 @@ impl<'a> BatchEvaluator<'a> {
         self.topo
     }
 
-    /// The bound demand set.
-    pub fn demands(&self) -> &'a DemandSet {
-        self.demands
+    /// The backend routing `side`'s class.
+    fn backend(&mut self, side: Side) -> &mut LazyBackend<'a> {
+        match side {
+            Side::High => &mut self.high,
+            Side::Low => &mut self.low,
+        }
     }
 
     /// Whether the SLA walk should reuse backend-provided DAGs. Both
@@ -225,39 +248,6 @@ impl<'a> BatchEvaluator<'a> {
     /// re-running one Dijkstra per high destination per candidate.
     fn want_dags(&self) -> bool {
         matches!(self.evaluator.objective(), Objective::SlaBased(_))
-    }
-
-    /// Assembles a [`HighSide`] from candidate loads, reusing candidate
-    /// DAGs for the SLA walk when the backend provided them.
-    fn make_high_side(
-        &mut self,
-        loads: ClassLoads,
-        wh: &WeightVector,
-        dags: &[(NodeId, Arc<ShortestPathDag>)],
-    ) -> HighSide {
-        match self.evaluator.objective() {
-            Objective::SlaBased(params) if !dags.is_empty() => {
-                let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> =
-                    vec![None; self.topo.node_count()];
-                for (t, dag) in dags {
-                    by_node[t.index()] = Some(dag);
-                }
-                let sla = sla_evaluation(
-                    self.topo,
-                    &self.demands.high,
-                    self.evaluator.high_dests(),
-                    &loads,
-                    &params,
-                    |t| {
-                        by_node[t.index()]
-                            .expect("backend DAGs cover every high destination")
-                            .clone()
-                    },
-                );
-                self.evaluator.high_side_with_sla(loads, Some(sla))
-            }
-            _ => self.evaluator.high_side_from_loads(loads, wh),
-        }
     }
 
     /// Evaluates one high-class candidate.
@@ -271,24 +261,14 @@ impl<'a> BatchEvaluator<'a> {
     /// backend for the misses), preserving order.
     pub fn eval_high_batch(&mut self, cands: &[WeightVector]) -> Vec<HighSide> {
         let want_dags = self.want_dags();
-        let mut out: Vec<Option<HighSide>> = cands.iter().map(|w| self.high_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.high.get().eval_batch(&miss_cands, want_dags);
-            let mut values: Vec<HighSide> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let loads = ev.loads.swap_remove(0);
-                let hs = self.make_high_side(loads, &cands[i], &ev.dags);
-                self.high_cache.put(&cands[i], hs.clone());
-                values.push(hs);
-            }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        let evaluator = &mut self.evaluator;
+        cached_batch(
+            &mut self.high_cache,
+            &mut self.high,
+            cands,
+            want_dags,
+            |mut ev, wh| make_high_side(evaluator, ev.loads.swap_remove(0), wh, &ev.dags),
+        )
     }
 
     /// Evaluates one low-class candidate.
@@ -298,24 +278,13 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Evaluates a batch of low-class candidates.
     pub fn eval_low_batch(&mut self, cands: &[WeightVector]) -> Vec<ClassLoads> {
-        let mut out: Vec<Option<ClassLoads>> =
-            cands.iter().map(|w| self.low_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.low.get().eval_batch(&miss_cands, false);
-            let mut values: Vec<ClassLoads> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let loads = ev.loads.swap_remove(0);
-                self.low_cache.put(&cands[i], loads.clone());
-                values.push(loads);
-            }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        cached_batch(
+            &mut self.low_cache,
+            &mut self.low,
+            cands,
+            false,
+            |mut ev, _| ev.loads.swap_remove(0),
+        )
     }
 
     /// Evaluates one joint (single-topology) candidate.
@@ -330,30 +299,20 @@ impl<'a> BatchEvaluator<'a> {
     /// bit-for-bit.
     pub fn eval_joint_batch(&mut self, cands: &[WeightVector]) -> Vec<Evaluation> {
         let want_dags = self.want_dags();
-        let mut out: Vec<Option<Evaluation>> =
-            cands.iter().map(|w| self.joint_cache.get(w)).collect();
-        let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
-        if !misses.is_empty() {
-            let (uniq, alias) = dedupe(cands, &misses);
-            let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
-            let evals = self.joint.get().eval_batch(&miss_cands, want_dags);
-            let mut values: Vec<Evaluation> = Vec::with_capacity(uniq.len());
-            for (&i, mut ev) in uniq.iter().zip(evals) {
-                let low_loads = ev.loads.swap_remove(1);
-                let high_loads = ev.loads.swap_remove(0);
-                let high = self.make_high_side(high_loads, &cands[i], &ev.dags);
-                let evaluation = self
-                    .evaluator
-                    .finish(high, low_loads)
-                    .expect("make_high_side fills the SLA walk under SLA objectives");
-                self.joint_cache.put(&cands[i], evaluation.clone());
-                values.push(evaluation);
-            }
-            for (k, &i) in misses.iter().enumerate() {
-                out[i] = Some(values[alias[k]].clone());
-            }
-        }
-        out.into_iter().map(Option::unwrap).collect()
+        let evaluator = &mut self.evaluator;
+        cached_batch(
+            &mut self.joint_cache,
+            &mut self.joint,
+            cands,
+            want_dags,
+            |mut ev, w| {
+                let low = ev.loads.swap_remove(1);
+                let high = make_high_side(evaluator, ev.loads.swap_remove(0), w, &ev.dags);
+                evaluator
+                    .finish(high, low)
+                    .expect("make_high_side fills the SLA walk under SLA objectives")
+            },
+        )
     }
 
     /// Binds a partial-deployment model on the underlying evaluator (see
@@ -368,106 +327,117 @@ impl<'a> BatchEvaluator<'a> {
         self.evaluator.deployment()
     }
 
-    /// Destinations with low-priority demand, ascending — the hybrid
-    /// push order (matches [`Evaluator::low_loads_deployed`]).
-    fn low_dests(&self) -> Vec<NodeId> {
-        self.topo
-            .nodes()
-            .filter(|t| self.demands.low.demands_to(t.index()).next().is_some())
-            .collect()
+    /// Evaluates the dual setting `w`, bit-identical to
+    /// [`Evaluator::eval_dual`] (deployment-aware, like
+    /// [`Self::eval_side_batch`]).
+    pub fn eval_dual(&mut self, w: &DualWeights) -> Evaluation {
+        if self.deployment().is_none() {
+            let (high, low) = (self.eval_high(&w.high), self.eval_low(&w.low));
+            return self.finish(high, low, 0.0);
+        }
+        let cand = std::slice::from_ref(&w.high);
+        let (loads, low, undeliverable) = self.hybrid_batch(Side::High, &w.low, cand).remove(0);
+        let high = self.evaluator.high_side_from_loads(loads, &w.high);
+        self.finish(high, low, undeliverable)
     }
 
-    /// The bound deployment, required by the deployed entry points.
-    fn deployment_cloned(&self) -> DeploymentSet {
+    /// Evaluates candidates that replace `side.of(w)` in the current
+    /// setting `w` (evaluated as `cur`); each result is bit-identical to
+    /// [`Evaluator::eval_dual`] on the moved setting. Plain routing (no
+    /// deployment, or a full one) routes only the moved class, through
+    /// its cache and backend, and takes the other side from `cur`. Under
+    /// a bound partial deployment the low class rides hybrid DAGs that
+    /// depend on both vectors, so every candidate gets fresh hybrid low
+    /// loads and its trapped volume is charged.
+    pub fn eval_side_batch(
+        &mut self,
+        side: Side,
+        w: &DualWeights,
+        cur: &Evaluation,
+        cands: &[WeightVector],
+    ) -> Vec<Evaluation> {
+        let mut out = Vec::with_capacity(cands.len());
+        if self.deployment().is_some() {
+            let fixed = if side == Side::High { &w.low } else { &w.high };
+            for ((loads, low, und), c) in
+                self.hybrid_batch(side, fixed, cands).into_iter().zip(cands)
+            {
+                let high = match side {
+                    Side::High => self.evaluator.high_side_from_loads(loads, c),
+                    Side::Low => cur.high_side(),
+                };
+                out.push(self.finish(high, low, und));
+            }
+        } else if side == Side::High {
+            for high in self.eval_high_batch(cands) {
+                out.push(self.finish(high, cur.low_loads.clone(), 0.0));
+            }
+        } else {
+            for low in self.eval_low_batch(cands) {
+                out.push(self.finish(cur.high_side(), low, 0.0));
+            }
+        }
+        out
+    }
+
+    /// Assembles an [`Evaluation`]; a zero `undeliverable` is
+    /// bit-identical to [`Evaluator::finish`].
+    fn finish(&self, high: HighSide, low: ClassLoads, undeliverable: f64) -> Evaluation {
         self.evaluator
-            .deployment()
-            .cloned()
-            .expect("deployed batch entry points require a bound partial deployment")
+            .finish_deployed(high, low, undeliverable)
+            .expect("engine high sides carry the SLA walk")
     }
 
     /// Evaluates a batch of **low-class** candidates under the bound
     /// partial deployment, against a fixed high vector `wh`. Returns,
     /// per candidate, the hybrid low loads plus the trapped
     /// (undeliverable) volume — feed both to
-    /// [`Evaluator::finish_deployed`].
-    ///
-    /// The candidates' per-destination low DAGs come from the (possibly
-    /// incremental) low backend; the fixed high DAGs are computed once
-    /// per call. Results are bit-identical to
-    /// [`Evaluator::low_loads_deployed`] because the hybrid synthesis
-    /// reads only DAG branch lists, which both paths produce identically.
-    /// Uncached: results key on the `(wh, wl)` pair, which the per-class
-    /// LRU caches cannot express.
+    /// [`Evaluator::finish_deployed`]. Bit-identical to
+    /// [`Evaluator::low_loads_deployed`].
     pub fn eval_deployed_low_batch(
         &mut self,
         wh: &WeightVector,
         cands: &[WeightVector],
     ) -> Vec<(ClassLoads, f64)> {
-        let dep = self.deployment_cloned();
-        let dests = self.low_dests();
-        let high_dags: Vec<ShortestPathDag> = dests
-            .iter()
-            .map(|&t| ShortestPathDag::compute_with(self.topo, wh, t, None, &mut self.ws))
-            .collect();
-        let evals = self.low.get().eval_batch(cands, true);
-        let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; self.topo.node_count()];
-        evals
-            .into_iter()
-            .map(|ev| {
-                by_node.iter_mut().for_each(|s| *s = None);
-                for (t, dag) in ev.dags {
-                    by_node[t.index()] = Some(dag);
-                }
-                let mut out = vec![0.0; self.topo.link_count()];
-                let mut flow = Vec::new();
-                let mut undeliverable = 0.0;
-                for (t, dh) in dests.iter().zip(&high_dags) {
-                    let dl = by_node[t.index()]
-                        .as_deref()
-                        .expect("low backend DAGs cover every low destination");
-                    let hybrid = hybrid_low_dag(self.topo, &dep, dh, dl);
-                    push_demand_down_dag(
-                        self.topo,
-                        &hybrid,
-                        &self.demands.low,
-                        *t,
-                        &mut flow,
-                        &mut out,
-                    );
-                    undeliverable += trapped_flow(&hybrid, &flow);
-                }
-                (out, undeliverable)
-            })
-            .collect()
+        let hybrid = self.hybrid_batch(Side::Low, wh, cands);
+        hybrid.into_iter().map(|(_, low, und)| (low, und)).collect()
     }
 
-    /// Evaluates a batch of **high-class** candidates under the bound
-    /// partial deployment, against a fixed low vector `wl`. Under
-    /// partial deployment a high-side move re-routes the low class too
-    /// (legacy nodes forward it on the high DAGs), so each entry carries
-    /// the candidate's [`HighSide`] *and* its hybrid low loads plus
-    /// trapped volume.
-    ///
-    /// High DAGs come from the high backend where it covers the
-    /// destination (it only tracks high-demand destinations); low-only
-    /// destinations get a fresh per-candidate SPF.
-    pub fn eval_deployed_high_batch(
+    /// The hybrid-DAG push under the bound partial deployment. Per
+    /// candidate of the moved `side`: that class's own loads, the hybrid
+    /// low loads and the trapped volume. The other side's DAGs are
+    /// computed once from `fixed`; the moved side's come from its
+    /// backend, or from a fresh SPF at destinations the backend does not
+    /// track (the high backend covers only high-demand destinations).
+    /// Uncached: results key on the `(W^H, W^L)` pair, which the
+    /// per-class caches cannot express.
+    fn hybrid_batch(
         &mut self,
+        side: Side,
+        fixed: &WeightVector,
         cands: &[WeightVector],
-        wl: &WeightVector,
-    ) -> Vec<(HighSide, ClassLoads, f64)> {
-        let dep = self.deployment_cloned();
-        let dests = self.low_dests();
-        let low_dags: Vec<ShortestPathDag> = dests
-            .iter()
-            .map(|&t| ShortestPathDag::compute_with(self.topo, wl, t, None, &mut self.ws))
+    ) -> Vec<(ClassLoads, ClassLoads, f64)> {
+        let dep = self
+            .evaluator
+            .deployment()
+            .cloned()
+            .expect("hybrid evaluation requires a bound partial deployment");
+        // Destinations with low-priority demand, ascending: the push
+        // order of `Evaluator::low_loads_deployed`.
+        let demands = self.evaluator.demands();
+        let dests: Vec<NodeId> = self
+            .topo
+            .nodes()
+            .filter(|t| demands.low.demands_to(t.index()).next().is_some())
             .collect();
-        let evals = self.high.get().eval_batch(cands, true);
+        let fixed_dags: Vec<ShortestPathDag> = dests
+            .iter()
+            .map(|&t| ShortestPathDag::compute_with(self.topo, fixed, t, None, &mut self.ws))
+            .collect();
+        let evals = self.backend(side).get().eval_batch(cands, true);
         let mut by_node: Vec<Option<Arc<ShortestPathDag>>> = vec![None; self.topo.node_count()];
         let mut results = Vec::with_capacity(evals.len());
-        for (mut ev, wh) in evals.into_iter().zip(cands) {
-            let loads = ev.loads.swap_remove(0);
-            let hs = self.make_high_side(loads, wh, &ev.dags);
+        for (mut ev, w) in evals.into_iter().zip(cands) {
             by_node.iter_mut().for_each(|s| *s = None);
             for (t, dag) in ev.dags {
                 by_node[t.index()] = Some(dag);
@@ -475,56 +445,39 @@ impl<'a> BatchEvaluator<'a> {
             let mut out = vec![0.0; self.topo.link_count()];
             let mut flow = Vec::new();
             let mut undeliverable = 0.0;
-            for (t, dl) in dests.iter().zip(&low_dags) {
+            for (t, fixed_dag) in dests.iter().zip(&fixed_dags) {
                 let fresh;
-                let dh = match by_node[t.index()].as_deref() {
+                let moved = match by_node[t.index()].as_deref() {
                     Some(d) => d,
                     None => {
-                        fresh =
-                            ShortestPathDag::compute_with(self.topo, wh, *t, None, &mut self.ws);
+                        fresh = ShortestPathDag::compute_with(self.topo, w, *t, None, &mut self.ws);
                         &fresh
                     }
                 };
+                let (dh, dl) = match side {
+                    Side::High => (moved, fixed_dag),
+                    Side::Low => (fixed_dag, moved),
+                };
                 let hybrid = hybrid_low_dag(self.topo, &dep, dh, dl);
-                push_demand_down_dag(
-                    self.topo,
-                    &hybrid,
-                    &self.demands.low,
-                    *t,
-                    &mut flow,
-                    &mut out,
-                );
+                push_demand_down_dag(self.topo, &hybrid, &demands.low, *t, &mut flow, &mut out);
                 undeliverable += trapped_flow(&hybrid, &flow);
             }
-            results.push((hs, out, undeliverable));
+            results.push((ev.loads.swap_remove(0), out, undeliverable));
         }
         results
     }
 
-    /// Raw per-link loads of the high class under `wh` — no cost
+    /// Raw per-link loads of `side`'s class under `w` — no cost
     /// assembly, bit-identical to
     /// [`dtr_routing::LoadCalculator::class_loads`]. The robust search's
     /// intact-evaluation path (it folds loads into per-scenario costs
     /// itself, so the nominal `HighSide` machinery does not apply).
-    pub fn high_loads(&mut self, wh: &WeightVector) -> ClassLoads {
-        let mut ev = self
-            .high
+    pub fn class_loads(&mut self, side: Side, w: &WeightVector) -> ClassLoads {
+        let mut evals = self
+            .backend(side)
             .get()
-            .eval_batch(std::slice::from_ref(wh), false)
-            .pop()
-            .unwrap();
-        ev.loads.swap_remove(0)
-    }
-
-    /// Raw per-link loads of the low class under `wl`.
-    pub fn low_loads(&mut self, wl: &WeightVector) -> ClassLoads {
-        let mut ev = self
-            .low
-            .get()
-            .eval_batch(std::slice::from_ref(wl), false)
-            .pop()
-            .unwrap();
-        ev.loads.swap_remove(0)
+            .eval_batch(std::slice::from_ref(w), false);
+        evals.swap_remove(0).loads.swap_remove(0)
     }
 
     /// High-class loads of `wh` under every failure scenario, in input
@@ -571,6 +524,11 @@ impl<'a> BatchEvaluator<'a> {
         self.low.rebase(wl);
     }
 
+    /// Moves the base of `side`.
+    pub fn rebase(&mut self, side: Side, w: &WeightVector) {
+        self.backend(side).rebase(w);
+    }
+
     /// Moves the joint base.
     pub fn rebase_joint(&mut self, w: &WeightVector) {
         self.joint.rebase(w);
@@ -583,6 +541,68 @@ impl<'a> BatchEvaluator<'a> {
         let (h3, m3) = self.joint_cache.stats();
         (h1 + h2 + h3, m1 + m2 + m3)
     }
+}
+
+/// Assembles a [`HighSide`] from candidate loads, reusing candidate
+/// DAGs for the SLA walk when the backend provided them.
+fn make_high_side(
+    evaluator: &mut Evaluator<'_>,
+    loads: ClassLoads,
+    wh: &WeightVector,
+    dags: &[(NodeId, Arc<ShortestPathDag>)],
+) -> HighSide {
+    match evaluator.objective() {
+        Objective::SlaBased(params) if !dags.is_empty() => {
+            let topo = evaluator.topo();
+            let mut by_node: Vec<Option<&Arc<ShortestPathDag>>> = vec![None; topo.node_count()];
+            for (t, dag) in dags {
+                by_node[t.index()] = Some(dag);
+            }
+            let sla = sla_evaluation(
+                topo,
+                &evaluator.demands().high,
+                evaluator.high_dests(),
+                &loads,
+                &params,
+                |t| {
+                    by_node[t.index()]
+                        .expect("backend DAGs cover every high destination")
+                        .clone()
+                },
+            );
+            evaluator.high_side_with_sla(loads, Some(sla))
+        }
+        _ => evaluator.high_side_from_loads(loads, wh),
+    }
+}
+
+/// One class's batch through its LRU cache: hits come from `cache`; the
+/// distinct misses go to `backend` as one batch, are turned into values
+/// by `finish` (in batch order) and cached. Preserves input order.
+fn cached_batch<T: Clone>(
+    cache: &mut LruCache<T>,
+    backend: &mut LazyBackend<'_>,
+    cands: &[WeightVector],
+    want_dags: bool,
+    mut finish: impl FnMut(CandidateEval, &WeightVector) -> T,
+) -> Vec<T> {
+    let mut out: Vec<Option<T>> = cands.iter().map(|w| cache.get(w)).collect();
+    let misses: Vec<usize> = (0..cands.len()).filter(|&i| out[i].is_none()).collect();
+    if !misses.is_empty() {
+        let (uniq, alias) = dedupe(cands, &misses);
+        let miss_cands: Vec<WeightVector> = uniq.iter().map(|&i| cands[i].clone()).collect();
+        let evals = backend.get().eval_batch(&miss_cands, want_dags);
+        let mut values: Vec<T> = Vec::with_capacity(uniq.len());
+        for (&i, ev) in uniq.iter().zip(evals) {
+            let value = finish(ev, &cands[i]);
+            cache.put(&cands[i], value.clone());
+            values.push(value);
+        }
+        for (k, &i) in misses.iter().enumerate() {
+            out[i] = Some(values[alias[k]].clone());
+        }
+    }
+    out.into_iter().map(Option::unwrap).collect()
 }
 
 /// Deduplicates cache misses within one batch: the neighborhood sampler
@@ -692,22 +712,59 @@ mod tests {
                 assert_eq!(loads, ref_loads, "{kind:?} low loads diverge");
                 assert_eq!(und, ref_und);
             }
-            // High-side candidates against a fixed low vector.
-            let wl = cands[1].clone();
-            for (whc, (hs, loads, und)) in cands
-                .iter()
-                .zip(engine.eval_deployed_high_batch(&cands, &wl))
-            {
+            // High-side candidates against a fixed low vector, through
+            // the side-batch entry point.
+            let w = DualWeights {
+                high: wh.clone(),
+                low: cands[1].clone(),
+            };
+            let cur = engine.eval_dual(&w);
+            let evals = engine.eval_side_batch(Side::High, &w, &cur, &cands);
+            for (whc, ev) in cands.iter().zip(evals) {
                 let ref_hs = reference.eval_high_side(whc);
-                let (ref_loads, ref_und) = reference.low_loads_deployed(&dep, whc, &wl);
-                assert_eq!(hs, ref_hs, "{kind:?} high side diverges");
-                assert_eq!(loads, ref_loads, "{kind:?} hybrid low loads diverge");
-                assert_eq!(und, ref_und);
-                let ev = reference
+                let (ref_loads, ref_und) = reference.low_loads_deployed(&dep, whc, &w.low);
+                assert_eq!(ev.high_side(), ref_hs, "{kind:?} high side diverges");
+                assert_eq!(ev.low_loads, ref_loads, "{kind:?} hybrid low loads diverge");
+                let reference_ev = reference
                     .finish_deployed(ref_hs, ref_loads, ref_und)
                     .unwrap();
-                let ev2 = engine.evaluator().finish_deployed(hs, loads, und).unwrap();
-                assert_eq!(ev, ev2);
+                assert_eq!(ev, reference_ev);
+            }
+        }
+    }
+
+    #[test]
+    fn side_batches_match_eval_dual_plain_and_deployed() {
+        let (topo, demands) = instance(11);
+        let n = topo.node_count();
+        let upgraded: Vec<u32> = (0..n as u32).step_by(3).collect();
+        let w = DualWeights {
+            high: WeightVector::uniform(&topo, 2),
+            low: WeightVector::uniform(&topo, 3),
+        };
+        for dep in [None, Some(DeploymentSet::from_upgraded(n, &upgraded))] {
+            let mut reference = Evaluator::new(&topo, &demands, Objective::LoadBased);
+            reference.set_deployment(dep.clone()).unwrap();
+            for kind in [BackendKind::Full, BackendKind::Incremental] {
+                let mut engine = BatchEvaluator::new(&topo, &demands, Objective::LoadBased, kind);
+                engine.set_deployment(dep.clone()).unwrap();
+                let cur = engine.eval_dual(&w);
+                assert_eq!(cur, reference.eval_dual(&w), "{kind:?} {dep:?}");
+                for side in [Side::High, Side::Low] {
+                    let cands: Vec<WeightVector> = (0..4u32)
+                        .map(|i| {
+                            let mut c = side.of(&w).clone();
+                            c.set(dtr_graph::LinkId(i), 7 + i);
+                            c
+                        })
+                        .collect();
+                    let evals = engine.eval_side_batch(side, &w, &cur, &cands);
+                    for (c, ev) in cands.into_iter().zip(evals) {
+                        let mut moved = w.clone();
+                        *side.of_mut(&mut moved) = c;
+                        assert_eq!(ev, reference.eval_dual(&moved), "{kind:?} {side:?} {dep:?}");
+                    }
+                }
             }
         }
     }

@@ -226,26 +226,43 @@ proptest! {
 }
 
 /// Acceptance-criteria check: a seeded `DtrSearch` produces the same
-/// incumbent cost (and weights) under both backends.
+/// incumbent cost (and weights) under both backends — under the load
+/// objective, the SLA objective, and the load objective on a
+/// half-upgraded partial deployment (hybrid low-class DAGs).
 #[test]
 fn seeded_dtr_search_same_incumbent_under_both_backends() {
     use dtr_core::{DtrSearch, SearchParams};
+    use dtr_routing::DeploymentSet;
     let (topo, demands) = instance(42, 14);
-    let run = |kind: BackendKind| {
-        DtrSearch::new(
-            &topo,
-            &demands,
-            Objective::LoadBased,
-            SearchParams::quick().with_seed(7).with_backend(kind),
-        )
-        .run()
-    };
-    let full = run(BackendKind::Full);
-    let incr = run(BackendKind::Incremental);
-    assert_eq!(full.best_cost, incr.best_cost);
-    assert_eq!(full.weights, incr.weights);
-    assert_eq!(full.eval, incr.eval);
-    assert_eq!(full.trace.evaluations, incr.trace.evaluations);
+    let n = topo.node_count();
+    let half: Vec<u32> = (0..n as u32).step_by(2).collect();
+    let half_upgraded = DeploymentSet::from_upgraded(n, &half);
+    let inputs = [
+        (Objective::LoadBased, None),
+        (Objective::sla_default(), None),
+        (Objective::LoadBased, Some(half_upgraded)),
+    ];
+    for (objective, deployment) in inputs {
+        let run = |kind: BackendKind| {
+            let mut search = DtrSearch::new(
+                &topo,
+                &demands,
+                objective,
+                SearchParams::quick().with_seed(7).with_backend(kind),
+            );
+            if let Some(dep) = &deployment {
+                search = search.with_deployment(dep.clone());
+            }
+            search.run()
+        };
+        let full = run(BackendKind::Full);
+        let incr = run(BackendKind::Incremental);
+        let case = format!("{objective:?}, deployment {deployment:?}");
+        assert_eq!(full.best_cost, incr.best_cost, "{case}");
+        assert_eq!(full.weights, incr.weights, "{case}");
+        assert_eq!(full.eval, incr.eval, "{case}");
+        assert_eq!(full.trace.evaluations, incr.trace.evaluations, "{case}");
+    }
 }
 
 /// Same for the STR baseline, under the SLA objective for coverage.

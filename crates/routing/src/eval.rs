@@ -141,6 +141,17 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
+    /// The high-class projection: the [`HighSide`] this evaluation was
+    /// finished from.
+    pub fn high_side(&self) -> HighSide {
+        HighSide {
+            loads: self.high_loads.clone(),
+            phi_per_link: self.phi_h_per_link.clone(),
+            phi: self.phi_h,
+            sla: self.sla.clone(),
+        }
+    }
+
     /// Per-link total load `H_l + L_l`.
     pub fn total_loads(&self) -> Vec<f64> {
         crate::loads::total_loads(&self.high_loads, &self.low_loads)
@@ -364,20 +375,21 @@ impl<'a> Evaluator<'a> {
     /// `w.high`; the low class follows the hybrid DAGs and trapped
     /// demand is penalized (see [`Self::finish_deployed`]).
     pub fn eval_dual(&mut self, w: &DualWeights) -> Evaluation {
-        match self.deployment.clone() {
-            None => {
-                let h = self.eval_high_side(&w.high);
-                let l = self.low_loads(&w.low);
-                self.finish(h, l)
-                    .expect("high side built by this evaluator carries the SLA walk")
-            }
-            Some(dep) => {
-                let h = self.eval_high_side(&w.high);
-                let (l, undeliverable) = self.low_loads_deployed(&dep, &w.high, &w.low);
-                self.finish_deployed(h, l, undeliverable)
-                    .expect("high side built by this evaluator carries the SLA walk")
-            }
-        }
+        let high = self.eval_high_side(&w.high);
+        self.eval_dual_with_high(high, w)
+    }
+
+    /// [`Self::eval_dual`] with `w.high`'s high side already in hand
+    /// (for example [`Evaluation::high_side`] of a setting that differs
+    /// only in `w.low`): routes the low class, plain or hybrid, and
+    /// finishes.
+    pub fn eval_dual_with_high(&mut self, high: HighSide, w: &DualWeights) -> Evaluation {
+        let (low, undeliverable) = match self.deployment.clone() {
+            None => (self.low_loads(&w.low), 0.0),
+            Some(dep) => self.low_loads_deployed(&dep, &w.high, &w.low),
+        };
+        self.finish_deployed(high, low, undeliverable)
+            .expect("high side built by this evaluator carries the SLA walk")
     }
 
     /// Single-topology evaluation (both classes share `w`); one SPF pass
