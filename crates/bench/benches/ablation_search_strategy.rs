@@ -12,9 +12,7 @@
 //! is cheap next to routing evaluations, so times should be close).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dtr_core::{
-    AnnealMode, AnnealSearch, GaSearch, MemeticSearch, Objective, SearchParams, StrSearch,
-};
+use dtr_core::{AnnealMode, AnnealSearch, MemeticSearch, Objective, SearchParams, StrSearch};
 use dtr_experiments::paper_random;
 use dtr_traffic::{DemandSet, TrafficCfg};
 use std::hint::black_box;
@@ -25,7 +23,7 @@ fn bench_strategy(c: &mut Criterion) {
     let params = SearchParams::tiny();
 
     let ls = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
-    let ga = GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+    let ga = MemeticSearch::ga(&topo, &demands, Objective::LoadBased, params).run();
     let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
     let sa = AnnealSearch::new(
         &topo,
@@ -66,7 +64,7 @@ fn bench_strategy(c: &mut Criterion) {
         },
     );
     g.bench_with_input(BenchmarkId::from_parameter("genetic"), &params, |b, p| {
-        b.iter(|| black_box(GaSearch::new(&topo, &demands, Objective::LoadBased, *p).run()))
+        b.iter(|| black_box(MemeticSearch::ga(&topo, &demands, Objective::LoadBased, *p).run()))
     });
     g.bench_with_input(BenchmarkId::from_parameter("memetic"), &params, |b, p| {
         b.iter(|| black_box(MemeticSearch::new(&topo, &demands, Objective::LoadBased, *p).run()))

@@ -2,9 +2,9 @@
 
 use crate::args::{ArgError, Args};
 use dtr_core::{
-    parse_portfolio, AnnealSearch, DtrSearch, DualWeights, GaSearch, MemeticSearch, Objective,
-    PortfolioMode, PortfolioParams, PortfolioResult, PortfolioSearch, ReoptSearch, RobustSearch,
-    ScenarioCombine, Scheme, SearchParams, StrSearch, StrategyKind, UpgradeParams, UpgradeSearch,
+    parse_portfolio, AnnealSearch, DtrSearch, DualWeights, MemeticSearch, Objective, PortfolioMode,
+    PortfolioParams, PortfolioResult, PortfolioSearch, ReoptSearch, RobustSearch, ScenarioCombine,
+    Scheme, SearchParams, StrSearch, StrategyKind, UpgradeParams, UpgradeSearch,
 };
 use dtr_graph::datacenter::{
     fat_tree_topology, jellyfish_topology, vl2_topology, xpander_topology, FatTreeCfg,
@@ -44,6 +44,13 @@ pub enum CliError {
     Json(serde_json::Error),
     /// A differential-validation gate failed (`dtrctl validate`).
     Gate(String),
+    /// A `--weights` file does not fit the topology or the scheme.
+    Weights {
+        /// Path the weights were loaded from.
+        path: String,
+        /// What does not fit.
+        detail: String,
+    },
     /// A churn trace failed structural validation (`dtrctl replay`).
     Trace {
         /// Path the trace was loaded from.
@@ -64,6 +71,7 @@ impl fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io: {e}"),
             CliError::Json(e) => write!(f, "json: {e}"),
             CliError::Gate(msg) => write!(f, "validation gate failed: {msg}"),
+            CliError::Weights { path, detail } => write!(f, "invalid weights {path}: {detail}"),
             CliError::Trace { path, detail } => {
                 write!(f, "invalid churn trace {path}: {detail}")
             }
@@ -92,6 +100,28 @@ impl From<serde_json::Error> for CliError {
 fn load<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> {
     let s = std::fs::read_to_string(Path::new(path))?;
     Ok(serde_json::from_str(&s)?)
+}
+
+/// Loads a `--weights` file and checks it fits `topo`: one weight per
+/// link in both vectors and, under STR, replicated vectors.
+fn load_weights(path: &str, topo: &Topology, scheme: Scheme) -> Result<DualWeights, CliError> {
+    let w: DualWeights = load(path)?;
+    let links = topo.link_count();
+    let detail = if w.high.len() != links || w.low.len() != links {
+        format!(
+            "{} high and {} low weights for a topology with {links} links",
+            w.high.len(),
+            w.low.len()
+        )
+    } else if scheme == Scheme::Str && w.high != w.low {
+        "--scheme str needs identical high and low vectors".to_string()
+    } else {
+        return Ok(w);
+    };
+    Err(CliError::Weights {
+        path: path.to_string(),
+        detail,
+    })
 }
 
 fn save<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
@@ -581,7 +611,7 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
             DualWeights::replicated(r.weights)
         }
         "ga" => {
-            let r = GaSearch::new(&topo, &demands, objective, params).run();
+            let r = MemeticSearch::ga(&topo, &demands, objective, params).run();
             println!(
                 "GA: cost {} after {} generations / {} evaluations",
                 r.best_cost, r.generations, r.trace.evaluations
@@ -625,7 +655,7 @@ fn cmd_optimize(args: &Args) -> Result<(), CliError> {
 fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands: DemandSet = load(args.require("traffic")?)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_weights(args.require("weights")?, &topo, Scheme::Dtr)?;
     let objective = parse_objective(args)?;
     let mut ev = Evaluator::new(&topo, &demands, objective);
     let e = ev.eval_dual(&weights);
@@ -665,7 +695,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
 fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands: DemandSet = load(args.require("traffic")?)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_weights(args.require("weights")?, &topo, Scheme::Dtr)?;
     let cfg = SimConfig {
         warmup_s: args.get_or("warmup", 0.5)?,
         duration_s: args.get_or("duration", 2.0)?,
@@ -708,7 +738,7 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
 
 fn cmd_deploy(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
-    let weights: DualWeights = load(args.require("weights")?)?;
+    let weights = load_weights(args.require("weights")?, &topo, Scheme::Dtr)?;
     if let Some(path) = args.get("print-config") {
         std::fs::write(path, dtr_mtr::network_config(&topo, &weights))?;
         println!("[wrote] {path} (router configuration stanzas)");
@@ -788,10 +818,7 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let truth: DemandSet = load(args.require("traffic")?)?;
     let measure_w = match args.get("weights") {
-        Some(p) => {
-            let w: DualWeights = load(p)?;
-            w.high
-        }
+        Some(p) => load_weights(p, &topo, Scheme::Dtr)?.high,
         None => dtr_graph::WeightVector::uniform(&topo, 1),
     };
     let rm = RoutingMatrix::compute(&topo, &measure_w);
@@ -833,10 +860,10 @@ fn parse_scheme(args: &Args) -> Result<Scheme, CliError> {
 fn cmd_reopt(args: &Args) -> Result<(), CliError> {
     let topo: Topology = load(args.require("topo")?)?;
     let demands: DemandSet = load(args.require("traffic")?)?;
-    let incumbent: DualWeights = load(args.require("weights")?)?;
     let params = parse_budget(args)?;
     let objective = parse_objective(args)?;
     let scheme = parse_scheme(args)?;
+    let incumbent = load_weights(args.require("weights")?, &topo, scheme)?;
     let h: usize = args
         .require("changes")?
         .parse()
@@ -896,7 +923,7 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
             cfg,
         );
         if let Some(p) = args.get("weights") {
-            search = search.with_initial(load(p)?);
+            search = search.with_initial(load_weights(p, &topo, scheme)?);
         }
         let start = std::time::Instant::now();
         let res = search.run();
@@ -923,7 +950,7 @@ fn cmd_robust(args: &Args) -> Result<(), CliError> {
         search = search.with_scenario_cap(n);
     }
     if let Some(p) = args.get("weights") {
-        search = search.with_initial(load(p)?);
+        search = search.with_initial(load_weights(p, &topo, scheme)?);
     }
     let res = search.run();
     println!(

@@ -1,7 +1,7 @@
 //! Simulated-annealing weight search — a search-strategy ablation.
 //!
 //! Fortz–Thorup-style local search (our STR baseline) and genetic
-//! algorithms (\[3\], [`crate::ga`]) are two of the classic heuristic
+//! algorithms (\[3\], [`crate::memetic`]) are two of the classic heuristic
 //! families for the OSPF weight-setting problem; simulated annealing is
 //! the third. [`AnnealSearch`] implements it for both routing schemes —
 //! [`AnnealMode::Str`] anneals a single weight vector, [`AnnealMode::Dtr`]
@@ -42,7 +42,7 @@ use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::SharedBound;
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{Evaluation, Evaluator};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
@@ -188,37 +188,6 @@ impl<'a> AnnealSearch<'a> {
             + rel(to.secondary, from.secondary)
     }
 
-    /// Proposes a single-weight-change move: one class (in DTR mode), one
-    /// link, one fresh weight value guaranteed to differ from the old one.
-    fn propose(&self, w: &DualWeights, rng: &mut StdRng) -> DualWeights {
-        let n = w.high.len();
-        let lid = LinkId(rng.random_range(0..n as u32));
-        let change_high = match self.mode {
-            AnnealMode::Str => true, // both vectors change in lock-step below
-            AnnealMode::Dtr => rng.random_bool(0.5),
-        };
-        let target = if change_high { &w.high } else { &w.low };
-        let old = target.get(lid);
-        let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-        if v == old {
-            v = if v == self.params.max_weight {
-                self.params.min_weight
-            } else {
-                v + 1
-            };
-        }
-        let mut next = w.clone();
-        match self.mode {
-            AnnealMode::Str => {
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            AnnealMode::Dtr if change_high => next.high.set(lid, v),
-            AnnealMode::Dtr => next.low.set(lid, v),
-        }
-        next
-    }
-
     /// Evaluates a dual setting, exploiting the per-class split in DTR
     /// mode when only one class's vector changed relative to `prev`.
     fn evaluate(
@@ -266,7 +235,7 @@ impl<'a> AnnealSearch<'a> {
         // median degradation is accepted with the target probability. ---
         let mut degradations = Vec::with_capacity(anneal.calibration_samples);
         while degradations.len() < anneal.calibration_samples && trace.evaluations < budget {
-            let cand_w = self.propose(&cur_w, &mut rng);
+            let cand_w = self.mode.propose(&cur_w, &self.params, &mut rng);
             let cand = self.evaluate(&cand_w, Some((&cur_w, &cur)));
             trace.evaluations += 1;
             let d = self.degradation(cur.cost, cand.cost);
@@ -296,7 +265,7 @@ impl<'a> AnnealSearch<'a> {
         let mut uphill_accepted = 0usize;
         while trace.evaluations < budget {
             trace.iterations += 1;
-            let cand_w = self.propose(&cur_w, &mut rng);
+            let cand_w = self.mode.propose(&cur_w, &self.params, &mut rng);
             let cand = self.evaluate(&cand_w, Some((&cur_w, &cur)));
             trace.evaluations += 1;
 

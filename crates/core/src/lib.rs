@@ -23,6 +23,11 @@
 //!   lexicographic objectives, including the **relaxed** variant of
 //!   §3.3.2/§5.3.1 that trades ε of high-priority cost for low-priority
 //!   improvements (Table 1).
+//! - [`descent`] — that single-weight-change loop, written once for
+//!   [`StrSearch`], [`RobustSearch`], [`ReoptSearch`]/[`ReoptSession`]
+//!   and `dtr-experiments`' k-class baseline. Its move draw
+//!   ([`neighborhood::draw_changed_weight`], [`Scheme::propose`]) is
+//!   shared with the annealer and the memetic hill-climb.
 //! - [`joint`] — the joint cost function `J = α·Φ_H + Φ_L` of §3.3.1,
 //!   with the exhaustive search used to reproduce the 3-node example
 //!   showing why picking `α` is hard.
@@ -30,9 +35,11 @@
 //! Beyond the paper's two schemes, the crate carries the neighboring
 //! search problems an operator meets in practice:
 //!
-//! - [`GaSearch`] / [`MemeticSearch`] / [`AnnealSearch`] — the other
-//!   classic heuristic families (\[3\], \[4\], simulated annealing) at
-//!   identical evaluation budgets, for search-strategy ablations;
+//! - [`MemeticSearch`] / [`AnnealSearch`] — the other classic heuristic
+//!   families at identical evaluation budgets, for search-strategy
+//!   ablations: the genetic algorithm \[3\] ([`MemeticSearch::ga`]) and
+//!   its memetic refinement \[4\] as one generational loop, and
+//!   simulated annealing;
 //! - [`RobustSearch`] — failure-aware optimization over all survivable
 //!   single duplex-pair cuts (\[5\]);
 //! - [`ReoptSearch`] — change-limited reoptimization after traffic drift
@@ -51,8 +58,8 @@
 //! convergence (see DESIGN.md §3).
 
 pub mod anneal;
+pub mod descent;
 pub mod dtr;
-pub mod ga;
 pub mod joint;
 pub mod memetic;
 pub mod neighborhood;
@@ -69,9 +76,8 @@ pub mod upgrade;
 
 pub use anneal::{AnnealMode, AnnealParams, AnnealResult, AnnealSearch};
 pub use dtr::{DtrResult, DtrSearch};
-pub use ga::{GaParams, GaResult, GaSearch};
 pub use joint::{joint_cost, JointCostExplorer, TriangleVerdict};
-pub use memetic::{MemeticParams, MemeticResult, MemeticSearch};
+pub use memetic::{GaParams, MemeticParams, MemeticResult, MemeticSearch};
 pub use neighborhood::{NeighborhoodSampler, RankTable};
 pub use params::{derive_stream_seed, SearchParams};
 pub use portfolio::{

@@ -1,21 +1,24 @@
-//! A memetic-algorithm STR baseline (related work \[4\]).
+//! The generational STR baselines: the genetic algorithm (related work
+//! \[3\]) and its memetic refinement (related work \[4\]).
 //!
-//! Buriol, Resende, Ribeiro & Thorup improved on the pure genetic
-//! algorithm for OSPF weight setting by hybridizing it with local search:
-//! every offspring produced by crossover/mutation is refined by a short
-//! hill-climb before joining the population. The paper's §2 cites this as
-//! the "memetic" descendant of Fortz–Thorup \[2\]; we implement it as a
-//! third arm of the search-strategy ablation (local search vs genetic vs
-//! memetic at an identical evaluation budget).
+//! Ericsson, Resende & Pardalos solved the OSPF weight-setting problem
+//! with a genetic algorithm; Buriol, Resende, Ribeiro & Thorup improved
+//! on it by refining every offspring with a short hill-climb before it
+//! joins the population. The paper's §2 cites both as descendants of
+//! Fortz–Thorup \[2\]. Here they are one loop: the textbook generational
+//! scheme with elitism (tournament selection, uniform per-link
+//! crossover, per-link reset mutation) plus [`MemeticParams::local_steps`]
+//! greedy single-weight-change probes per individual.
+//! [`MemeticSearch::ga`] is the genetic algorithm, the same loop with no
+//! hill-climb; it keeps its own RNG salt and population size, so the two
+//! strategies explore independent candidate streams. Fitness is the
+//! lexicographic objective, so comparisons are exact (no scalarization).
 //!
-//! The local-improvement step is the same single-weight-change move the
-//! STR baseline uses, applied greedily for a bounded number of steps.
-//! Every evaluation — parents, offspring, and hill-climb probes — is
-//! charged against [`SearchParams::dtr_eval_budget`] so the comparison
-//! with [`crate::StrSearch`], [`crate::GaSearch`] and
-//! [`crate::AnnealSearch`] is effort-fair.
+//! Every evaluation (parents, offspring, and hill-climb probes) is
+//! charged against [`SearchParams::dtr_eval_budget`], so the comparison
+//! with [`crate::StrSearch`] and [`crate::AnnealSearch`] is effort-fair.
 
-use crate::ga::GaParams;
+use crate::neighborhood::single_change;
 use crate::params::SearchParams;
 use crate::telemetry::{Phase, SearchTrace};
 use dtr_cost::{Lex2, Objective};
@@ -28,14 +31,40 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Memetic-specific knobs: the underlying GA plus the hill-climb length.
+/// Population knobs; the evaluation budget still comes from
+/// [`SearchParams`] so the generational and local searches are
+/// comparable.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct GaParams {
+    /// Individuals per generation.
+    pub population: usize,
+    /// Fraction of each generation copied unchanged (elitism).
+    pub elite_frac: f64,
+    /// Per-link probability of reset mutation after crossover.
+    pub mutation_rate: f64,
+    /// Tournament size for parent selection.
+    pub tournament: usize,
+}
+
+impl Default for GaParams {
+    fn default() -> Self {
+        GaParams {
+            population: 50,
+            elite_frac: 0.2,
+            mutation_rate: 0.02,
+            tournament: 3,
+        }
+    }
+}
+
+/// Memetic knobs: the underlying GA plus the hill-climb length.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemeticParams {
     /// Population / selection / crossover / mutation knobs.
     pub ga: GaParams,
     /// Greedy single-weight-change steps applied to each offspring (each
     /// step evaluates one probe; an accepted probe replaces the
-    /// offspring).
+    /// offspring). Zero is the plain genetic algorithm.
     pub local_steps: usize,
 }
 
@@ -53,7 +82,7 @@ impl Default for MemeticParams {
     }
 }
 
-/// Outcome of a memetic run.
+/// Outcome of a generational run.
 #[derive(Debug, Clone)]
 pub struct MemeticResult {
     /// Best weight setting found.
@@ -64,17 +93,20 @@ pub struct MemeticResult {
     pub best_cost: Lex2,
     /// Generations executed.
     pub generations: usize,
-    /// Hill-climb probes that improved their offspring.
+    /// Hill-climb probes that improved their offspring (0 for the GA).
     pub local_improvements: usize,
     /// Telemetry (evaluations, improvements).
     pub trace: SearchTrace,
 }
 
-/// The memetic optimizer for single-topology weights.
+/// The generational optimizer for single-topology weights.
 pub struct MemeticSearch<'a> {
     evaluator: Evaluator<'a>,
     params: SearchParams,
     memetic: MemeticParams,
+    /// XOR-ed into the seed so strategy ablations with a shared `seed`
+    /// explore independent candidate streams.
+    salt: u64,
     bound: Option<Arc<SharedBound>>,
 }
 
@@ -91,7 +123,26 @@ impl<'a> MemeticSearch<'a> {
             evaluator: Evaluator::new(topo, demands, objective),
             params,
             memetic: MemeticParams::default(),
+            salt: 0x6d65_6d65_7469_0001,
             bound: None,
+        }
+    }
+
+    /// Prepares the genetic algorithm: the default [`GaParams`] and no
+    /// hill-climb.
+    pub fn ga(
+        topo: &'a Topology,
+        demands: &'a DemandSet,
+        objective: Objective,
+        params: SearchParams,
+    ) -> Self {
+        MemeticSearch {
+            memetic: MemeticParams {
+                ga: GaParams::default(),
+                local_steps: 0,
+            },
+            salt: 0x6761_0000_0000_0001,
+            ..Self::new(topo, demands, objective, params)
         }
     }
 
@@ -113,78 +164,61 @@ impl<'a> MemeticSearch<'a> {
         self
     }
 
-    /// Greedy hill-climb on one individual: up to `local_steps` probes,
-    /// each a single-weight change; an improving probe is adopted
-    /// immediately. Returns the number of adopted probes.
-    fn improve(
+    /// Evaluates a new individual and refines it with a greedy
+    /// hill-climb: up to `local_steps` probes, each a single-weight
+    /// change; an improving probe is adopted immediately and counted in
+    /// `adopted`. With no steps it draws and evaluates nothing more.
+    fn admit(
         &mut self,
-        cost: &mut Lex2,
-        w: &mut WeightVector,
+        mut w: WeightVector,
         budget: usize,
         rng: &mut StdRng,
         trace: &mut SearchTrace,
-    ) -> usize {
-        let n_links = w.len();
-        let mut adopted = 0;
+        adopted: &mut usize,
+    ) -> (Lex2, WeightVector) {
+        let mut cost = self.evaluator.eval_str(&w).cost;
+        trace.evaluations += 1;
         for _ in 0..self.memetic.local_steps {
             if trace.evaluations >= budget {
                 break;
             }
-            let lid = LinkId(rng.random_range(0..n_links as u32));
-            let old = w.get(lid);
-            let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            if v == old {
-                v = if v == self.params.max_weight {
-                    self.params.min_weight
-                } else {
-                    v + 1
-                };
-            }
-            w.set(lid, v);
-            let c = self.evaluator.eval_str(w).cost;
+            let probe = single_change(&w, &self.params, rng);
+            let c = self.evaluator.eval_str(&probe).cost;
             trace.evaluations += 1;
-            if c < *cost {
-                *cost = c;
-                adopted += 1;
-            } else {
-                w.set(lid, old); // revert the probe
+            if c < cost {
+                cost = c;
+                w = probe;
+                *adopted += 1;
             }
         }
-        adopted
+        (cost, w)
     }
 
     /// Runs until the evaluation budget is spent.
     pub fn run(mut self) -> MemeticResult {
         let bound = self.bound.take();
-        // Salted so strategy ablations with a shared `seed` explore
-        // independent candidate streams.
-        let mut rng = StdRng::seed_from_u64(self.params.seed ^ 0x6d65_6d65_7469_0001);
+        let mut rng = StdRng::seed_from_u64(self.params.seed ^ self.salt);
         let n_links = self.evaluator.topo().link_count();
         let budget = self.params.dtr_eval_budget();
         let ga = self.memetic.ga;
+        let (min_w, max_w) = (self.params.min_weight, self.params.max_weight);
         let mut trace = SearchTrace::default();
         let mut local_improvements = 0usize;
 
         // Initial population: the uniform operator default plus random
-        // immigrants, each refined by a hill-climb.
+        // immigrants.
         let mut pop: Vec<(Lex2, WeightVector)> = Vec::with_capacity(ga.population);
-        let seed_w = WeightVector::uniform(self.evaluator.topo(), 1);
-        let mut seed_cost = self.evaluator.eval_str(&seed_w).cost;
-        trace.evaluations += 1;
-        let mut seed_w = seed_w;
-        local_improvements +=
-            self.improve(&mut seed_cost, &mut seed_w, budget, &mut rng, &mut trace);
-        pop.push((seed_cost, seed_w));
-        while pop.len() < ga.population && trace.evaluations < budget {
-            let mut w = WeightVector::from_vec(
+        let mut w = WeightVector::uniform(self.evaluator.topo(), 1);
+        loop {
+            pop.push(self.admit(w, budget, &mut rng, &mut trace, &mut local_improvements));
+            if pop.len() >= ga.population || trace.evaluations >= budget {
+                break;
+            }
+            w = WeightVector::from_vec(
                 (0..n_links)
-                    .map(|_| rng.random_range(self.params.min_weight..=self.params.max_weight))
+                    .map(|_| rng.random_range(min_w..=max_w))
                     .collect(),
             );
-            let mut c = self.evaluator.eval_str(&w).cost;
-            trace.evaluations += 1;
-            local_improvements += self.improve(&mut c, &mut w, budget, &mut rng, &mut trace);
-            pop.push((c, w));
         }
         pop.sort_by_key(|a| a.0);
         let mut best = pop[0].clone();
@@ -214,15 +248,11 @@ impl<'a> MemeticSearch<'a> {
                     .collect();
                 for w in child.iter_mut() {
                     if rng.random_bool(ga.mutation_rate) {
-                        *w = rng.random_range(self.params.min_weight..=self.params.max_weight);
+                        *w = rng.random_range(min_w..=max_w);
                     }
                 }
-                let mut w = WeightVector::from_vec(child);
-                let mut c = self.evaluator.eval_str(&w).cost;
-                trace.evaluations += 1;
-                // The memetic step: refine the offspring before insertion.
-                local_improvements += self.improve(&mut c, &mut w, budget, &mut rng, &mut trace);
-                next.push((c, w));
+                let child = WeightVector::from_vec(child);
+                next.push(self.admit(child, budget, &mut rng, &mut trace, &mut local_improvements));
             }
             next.sort_by_key(|a| a.0);
             next.truncate(ga.population);
@@ -296,6 +326,76 @@ mod tests {
         .run();
         assert!((res.eval.phi_h - 1.0 / 3.0).abs() < 1e-9);
         assert!((res.eval.phi_l - 64.0 / 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ga_finds_triangle_str_optimum() {
+        let (topo, demands) = triangle_instance();
+        let res = MemeticSearch::ga(
+            &topo,
+            &demands,
+            Objective::LoadBased,
+            SearchParams::quick().with_seed(1),
+        )
+        .run();
+        assert!((res.eval.phi_h - 1.0 / 3.0).abs() < 1e-9);
+        assert!((res.eval.phi_l - 64.0 / 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ga_respects_eval_budget_and_improves() {
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 10,
+            directed_links: 40,
+            seed: 2,
+        });
+        let demands = DemandSet::generate(
+            &topo,
+            &TrafficCfg {
+                seed: 2,
+                ..Default::default()
+            },
+        )
+        .scaled(4.0);
+        let params = SearchParams::tiny().with_seed(2);
+        let res = MemeticSearch::ga(&topo, &demands, Objective::LoadBased, params).run();
+        assert!(res.trace.evaluations <= params.dtr_eval_budget());
+        // The uniform-weight seed is in the initial population, so the
+        // result can never be worse than it.
+        let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
+        let uniform_cost = ev.eval_str(&WeightVector::uniform(&topo, 1)).cost;
+        assert!(res.best_cost <= uniform_cost);
+        assert!(res.generations > 0);
+        // No hill-climb: nothing to adopt.
+        assert_eq!(res.local_improvements, 0);
+    }
+
+    #[test]
+    fn ga_is_deterministic_in_seed() {
+        let topo = random_topology(&RandomTopologyCfg {
+            nodes: 8,
+            directed_links: 32,
+            seed: 3,
+        });
+        let demands = DemandSet::generate(
+            &topo,
+            &TrafficCfg {
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        let run = || {
+            MemeticSearch::ga(
+                &topo,
+                &demands,
+                Objective::LoadBased,
+                SearchParams::tiny().with_seed(9),
+            )
+            .run()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.best_cost, b.best_cost);
+        assert_eq!(a.weights, b.weights);
     }
 
     #[test]

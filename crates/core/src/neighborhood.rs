@@ -173,6 +173,30 @@ impl NeighborhoodSampler {
     }
 }
 
+/// The forced-change weight draw of every single-weight-change move: a
+/// uniform value in `[min_weight, max_weight]`, moved to the next value
+/// (wrapping to `min_weight`) when it equals `old`, so the move always
+/// changes the weight.
+pub fn draw_changed_weight(old: u32, params: &SearchParams, rng: &mut StdRng) -> u32 {
+    let v = rng.random_range(params.min_weight..=params.max_weight);
+    if v != old {
+        v
+    } else if v == params.max_weight {
+        params.min_weight
+    } else {
+        v + 1
+    }
+}
+
+/// A single-weight-change neighbour of `w`: a uniform link re-assigned
+/// a forced-change value ([`draw_changed_weight`]).
+pub fn single_change(w: &WeightVector, params: &SearchParams, rng: &mut StdRng) -> WeightVector {
+    let lid = LinkId(rng.random_range(0..w.len() as u32));
+    let mut next = w.clone();
+    next.set(lid, draw_changed_weight(w.get(lid), params, rng));
+    next
+}
+
 /// Diversification (Algorithm 1 lines 9/21/35): assigns fresh uniform
 /// weights to a `fraction` of randomly chosen links.
 pub fn perturb_weights(

@@ -53,7 +53,6 @@
 
 use crate::anneal::AnnealSearch;
 use crate::dtr::DtrSearch;
-use crate::ga::GaSearch;
 use crate::memetic::MemeticSearch;
 use crate::params::SearchParams;
 use crate::robust::{RobustCost, RobustEvaluator, RobustSearch, ScenarioCombine};
@@ -80,7 +79,7 @@ pub enum StrategyKind {
     Descent,
     /// Simulated annealing ([`AnnealSearch`]) in the matching scheme.
     Anneal,
-    /// The genetic algorithm ([`GaSearch`]; replicated weights).
+    /// The genetic algorithm ([`MemeticSearch::ga`]; replicated weights).
     Ga,
     /// The memetic GA + hill-climb hybrid ([`MemeticSearch`];
     /// replicated weights).
@@ -622,18 +621,22 @@ impl<'a> PortfolioSearch<'a> {
                 let r = s.run();
                 (r.weights, r.trace.evaluations)
             }
-            (StrategyKind::Ga, _) => {
-                let r = GaSearch::new(self.topo, self.demands, self.objective, params)
+            (StrategyKind::Ga | StrategyKind::Memetic, _) => {
+                let r = self
+                    .generational(strategy, params)
                     .with_shared_bound(Arc::clone(bound))
                     .run();
                 (DualWeights::replicated(r.weights), r.trace.evaluations)
             }
-            (StrategyKind::Memetic, _) => {
-                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params)
-                    .with_shared_bound(Arc::clone(bound))
-                    .run();
-                (DualWeights::replicated(r.weights), r.trace.evaluations)
-            }
+        }
+    }
+
+    /// The generational search of a GA or memetic arm.
+    fn generational(&self, strategy: StrategyKind, params: SearchParams) -> MemeticSearch<'a> {
+        if strategy == StrategyKind::Ga {
+            MemeticSearch::ga(self.topo, self.demands, self.objective, params)
+        } else {
+            MemeticSearch::new(self.topo, self.demands, self.objective, params)
         }
     }
 
@@ -659,15 +662,8 @@ impl<'a> PortfolioSearch<'a> {
                     .run();
                 (Some(r.weights), r.trace.evaluations)
             }
-            StrategyKind::Ga => {
-                let r = GaSearch::new(self.topo, self.demands, self.objective, params).run();
-                (
-                    Some(DualWeights::replicated(r.weights)),
-                    r.trace.evaluations,
-                )
-            }
-            StrategyKind::Memetic => {
-                let r = MemeticSearch::new(self.topo, self.demands, self.objective, params).run();
+            StrategyKind::Ga | StrategyKind::Memetic => {
+                let r = self.generational(strategy, params).run();
                 (
                     Some(DualWeights::replicated(r.weights)),
                     r.trace.evaluations,

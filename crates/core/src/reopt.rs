@@ -17,15 +17,23 @@
 //! `h` with warm starts to trace the cost-vs-churn curve an operator
 //! actually navigates.
 //!
+//! The search is the shared Fortz–Thorup loop ([`crate::descent`]) with
+//! a budget-aware move (which may propose nothing when the drawn
+//! position cannot move and nothing can be reverted) and restarts that
+//! re-randomize up to `h` positions of the incumbent. With `h = 0` it
+//! runs no iteration: the start is the answer.
+//!
 //! [`ReoptSession`] wraps the same kernel in a long-lived warm-start API
 //! for callers that track a network over time (the `dtrd` daemon): it
 //! owns the incumbent, derives a decorrelated seed per step, and supports
 //! evaluation under a link-failure mask so re-optimization can run while
 //! part of the topology is down.
 
+use crate::descent::{descend, Descent};
+use crate::neighborhood::draw_changed_weight;
 use crate::params::{derive_stream_seed, SearchParams};
 use crate::scheme::Scheme;
-use crate::telemetry::{Phase, SearchTrace};
+use crate::telemetry::SearchTrace;
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::BatchEvaluator;
 use dtr_graph::weights::DualWeights;
@@ -55,230 +63,109 @@ pub struct ReoptResult {
     pub trace: SearchTrace,
 }
 
-/// The proposal kernel shared by [`ReoptSearch`] and [`ReoptSession`]:
-/// every move stays inside the Hamming ball of radius `max_changes`
-/// around the incumbent, with reverts releasing budget.
-struct ChangeProposer {
+/// The descent shared by [`ReoptSearch`] and [`ReoptSession`]: every
+/// move stays inside the Hamming ball of radius `max_changes` around the
+/// incumbent, with reverts releasing budget, and restarts land inside
+/// the same ball. Generic over the evaluation function so the same loop
+/// serves full-topology ([`ReoptSearch::run`]) and masked
+/// ([`ReoptSession::step_masked`]) evaluation.
+struct Constrained<'i, E> {
     params: SearchParams,
     scheme: Scheme,
     max_changes: usize,
+    incumbent: &'i DualWeights,
+    eval: E,
 }
 
-impl ChangeProposer {
-    /// Proposes one feasible single-weight change, or `None` when the
-    /// randomly chosen position cannot move without breaking the budget.
-    fn propose(
-        &self,
-        cur: &DualWeights,
-        incumbent: &DualWeights,
-        rng: &mut StdRng,
-    ) -> Option<DualWeights> {
-        let n = cur.high.len();
-        let lid = LinkId(rng.random_range(0..n as u32));
-        let change_high = match self.scheme {
-            Scheme::Str => true,
-            Scheme::Dtr => rng.random_bool(0.5),
-        };
-        let (cur_vec, inc_vec) = if change_high {
-            (&cur.high, &incumbent.high)
-        } else {
-            (&cur.low, &incumbent.low)
-        };
-        let old = cur_vec.get(lid);
-        let inc = inc_vec.get(lid);
-        let used = changes_between(cur, incumbent, self.scheme);
-
-        let at_budget = used >= self.max_changes;
-        let position_changed = old != inc;
-        let v = if at_budget && !position_changed {
-            // Budget exhausted and this position is pristine: the only
-            // legal moves elsewhere are reverts, so propose one instead.
-            return self.propose_revert(cur, incumbent, rng);
-        } else {
-            // Either budget is available (any new value works) or this
-            // position already counts against the budget (re-valuing it
-            // is free).
-            let mut v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            if v == old {
-                v = if v == self.params.max_weight {
-                    self.params.min_weight
-                } else {
-                    v + 1
-                };
-            }
-            v
-        };
-
-        let mut next = cur.clone();
-        match self.scheme {
-            Scheme::Str => {
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            Scheme::Dtr if change_high => next.high.set(lid, v),
-            Scheme::Dtr => next.low.set(lid, v),
+impl<E: FnMut(&DualWeights) -> Evaluation> Constrained<'_, E> {
+    /// Runs `iters` descent iterations (normally
+    /// [`SearchParams::str_iters`]; [`ReoptSession::idle_step`] passes
+    /// fewer) from `start`, or from the incumbent itself.
+    fn run(mut self, start: Option<DualWeights>, iters: usize) -> ReoptResult {
+        let params = self.params;
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let start = start.unwrap_or_else(|| self.incumbent.clone());
+        // With no budget nothing may move: the start is the answer.
+        let iters = if self.max_changes == 0 { 0 } else { iters };
+        let out = descend(&mut self, start, &params, iters, &mut rng, None);
+        ReoptResult {
+            changes_used: changes_between(&out.weights, self.incumbent, self.scheme),
+            weights: out.weights,
+            best_cost: out.eval.cost,
+            eval: out.eval,
+            max_changes: self.max_changes,
+            trace: out.trace,
         }
-        Some(next)
     }
 
     /// Reverts one randomly chosen changed position to its incumbent
     /// value (releases one unit of budget); `None` when nothing changed.
-    fn propose_revert(
-        &self,
-        cur: &DualWeights,
-        incumbent: &DualWeights,
-        rng: &mut StdRng,
-    ) -> Option<DualWeights> {
+    fn propose_revert(&self, cur: &DualWeights, rng: &mut StdRng) -> Option<DualWeights> {
+        let inc = self.incumbent;
         let mut changed: Vec<(bool, LinkId)> = Vec::new();
         for i in 0..cur.high.len() as u32 {
             let lid = LinkId(i);
-            if cur.high.get(lid) != incumbent.high.get(lid) {
+            if cur.high.get(lid) != inc.high.get(lid) {
                 changed.push((true, lid));
             }
-            if self.scheme == Scheme::Dtr && cur.low.get(lid) != incumbent.low.get(lid) {
+            if self.scheme == Scheme::Dtr && cur.low.get(lid) != inc.low.get(lid) {
                 changed.push((false, lid));
             }
         }
-        let &(is_high, lid) = changed.choose(rng)?;
+        let &(high, lid) = changed.choose(rng)?;
         let mut next = cur.clone();
-        match self.scheme {
-            Scheme::Str => {
-                let v = incumbent.high.get(lid);
-                next.high.set(lid, v);
-                next.low.set(lid, v);
-            }
-            Scheme::Dtr if is_high => {
-                let v = incumbent.high.get(lid);
-                next.high.set(lid, v);
-            }
-            Scheme::Dtr => {
-                let v = incumbent.low.get(lid);
-                next.low.set(lid, v);
-            }
-        }
+        self.scheme
+            .set(&mut next, high, lid, inc.class(high).get(lid));
         Some(next)
-    }
-
-    /// A random point inside the feasible ball around the incumbent.
-    fn random_feasible(
-        &self,
-        incumbent: &DualWeights,
-        n_links: usize,
-        rng: &mut StdRng,
-    ) -> DualWeights {
-        let mut w = incumbent.clone();
-        let count = rng.random_range(1..=self.max_changes);
-        for _ in 0..count {
-            let lid = LinkId(rng.random_range(0..n_links as u32));
-            let v = rng.random_range(self.params.min_weight..=self.params.max_weight);
-            match self.scheme {
-                Scheme::Str => {
-                    w.high.set(lid, v);
-                    w.low.set(lid, v);
-                }
-                Scheme::Dtr if rng.random_bool(0.5) => w.high.set(lid, v),
-                Scheme::Dtr => w.low.set(lid, v),
-            }
-        }
-        w
     }
 }
 
-/// The shared descent loop: `iters` iterations (normally
-/// [`SearchParams::str_iters`]) of `neighbors` candidates each, with
-/// diversification restarts inside the feasible ball. Generic over the
-/// evaluation function so the same loop serves full-topology
-/// ([`ReoptSearch::run`]) and masked ([`ReoptSession::step_masked`])
-/// evaluation; the explicit iteration budget serves
-/// [`ReoptSession::idle_step`]'s cheaper anytime passes.
-fn constrained_descent<E>(
-    mut eval: E,
-    proposer: &ChangeProposer,
-    incumbent: &DualWeights,
-    start: Option<DualWeights>,
-    n_links: usize,
-    iters: usize,
-) -> ReoptResult
-where
-    E: FnMut(&DualWeights) -> Evaluation,
-{
-    let params = proposer.params;
-    let scheme = proposer.scheme;
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut trace = SearchTrace::default();
+impl<E: FnMut(&DualWeights) -> Evaluation> Descent for Constrained<'_, E> {
+    type Weights = DualWeights;
+    type Eval = Evaluation;
+    type Cost = Lex2;
 
-    let mut cur_w = start.unwrap_or_else(|| incumbent.clone());
-    let mut cur = eval(&cur_w);
-    trace.evaluations += 1;
-    let mut best_w = cur_w.clone();
-    let mut best_cost = cur.cost;
-    let mut best_eval = cur.clone();
-    trace.improved(0, Phase::Str, best_cost);
-
-    if proposer.max_changes == 0 {
-        // Nothing may move; the incumbent (or start) is the answer.
-        return ReoptResult {
-            changes_used: changes_between(&best_w, incumbent, scheme),
-            weights: best_w,
-            eval: best_eval,
-            best_cost,
-            max_changes: 0,
-            trace,
-        };
+    fn cost(e: &Evaluation) -> &Lex2 {
+        &e.cost
     }
 
-    let mut stall = 0usize;
-    for _ in 0..iters {
-        trace.iterations += 1;
-
-        let mut best_cand: Option<(Evaluation, DualWeights)> = None;
-        for _ in 0..params.neighbors {
-            let Some(cand_w) = proposer.propose(&cur_w, incumbent, &mut rng) else {
-                continue;
-            };
-            let e = eval(&cand_w);
-            trace.evaluations += 1;
-            if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                best_cand = Some((e, cand_w));
-            }
+    /// Proposes one feasible single-weight change, or `None` when the
+    /// randomly chosen position cannot move without breaking the budget
+    /// and there is nothing to revert.
+    fn propose(&mut self, cur: &DualWeights, rng: &mut StdRng) -> Option<DualWeights> {
+        let lid = LinkId(rng.random_range(0..cur.high.len() as u32));
+        let high = self.scheme.draw_class(rng);
+        let old = cur.class(high).get(lid);
+        let pristine = old == self.incumbent.class(high).get(lid);
+        if pristine && changes_between(cur, self.incumbent, self.scheme) >= self.max_changes {
+            // Budget exhausted and this position is pristine: the only
+            // legal moves elsewhere are reverts, so propose one instead.
+            return self.propose_revert(cur, rng);
         }
-
-        match best_cand {
-            Some((e, w)) if e.cost < cur.cost => {
-                cur = e;
-                cur_w = w;
-                trace.moves_accepted += 1;
-                if cur.cost < best_cost {
-                    best_cost = cur.cost;
-                    best_w = cur_w.clone();
-                    best_eval = cur.clone();
-                    trace.improved(trace.iterations, Phase::Str, best_cost);
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-            }
-            _ => stall += 1,
-        }
-
-        if stall >= params.diversify_after {
-            // Restart inside the feasible ball: incumbent weights with
-            // a random subset of ≤ h positions re-randomized.
-            cur_w = proposer.random_feasible(incumbent, n_links, &mut rng);
-            cur = eval(&cur_w);
-            trace.evaluations += 1;
-            trace.diversifications += 1;
-            stall = 0;
-        }
+        // Either budget is available (any new value works) or this
+        // position already counts against the budget (re-valuing it is
+        // free).
+        let mut next = cur.clone();
+        let v = draw_changed_weight(old, &self.params, rng);
+        self.scheme.set(&mut next, high, lid, v);
+        Some(next)
     }
 
-    ReoptResult {
-        changes_used: changes_between(&best_w, incumbent, scheme),
-        weights: best_w,
-        eval: best_eval,
-        best_cost,
-        max_changes: proposer.max_changes,
-        trace,
+    fn eval(&mut self, w: &DualWeights) -> Evaluation {
+        (self.eval)(w)
+    }
+
+    /// A random point inside the feasible ball: the incumbent with up to
+    /// `max_changes` positions re-randomized.
+    fn restart(&mut self, cur: &mut DualWeights, rng: &mut StdRng) {
+        *cur = self.incumbent.clone();
+        let count = rng.random_range(1..=self.max_changes);
+        for _ in 0..count {
+            let lid = LinkId(rng.random_range(0..cur.high.len() as u32));
+            let v = rng.random_range(self.params.min_weight..=self.params.max_weight);
+            let high = self.scheme.draw_class(rng);
+            self.scheme.set(cur, high, lid, v);
+        }
     }
 }
 
@@ -346,19 +233,19 @@ impl<'a> ReoptSearch<'a> {
     /// Like [`run`](Self::run) with an explicit iteration budget —
     /// the anytime knob behind [`ReoptSession::idle_step`].
     pub fn run_with_iters(self, iters: usize) -> ReoptResult {
-        let proposer = ChangeProposer {
-            params: self.params,
-            scheme: self.scheme,
-            max_changes: self.max_changes,
-        };
-        let n_links = self.evaluator.topo().link_count();
         let scheme = self.scheme;
         let mut evaluator = self.evaluator;
-        let eval = |w: &DualWeights| match scheme {
-            Scheme::Str => evaluator.eval_str(&w.high),
-            Scheme::Dtr => evaluator.eval_dual(w),
-        };
-        constrained_descent(eval, &proposer, &self.incumbent, self.start, n_links, iters)
+        Constrained {
+            params: self.params,
+            scheme,
+            max_changes: self.max_changes,
+            incumbent: &self.incumbent,
+            eval: |w: &DualWeights| match scheme {
+                Scheme::Str => evaluator.eval_str(&w.high),
+                Scheme::Dtr => evaluator.eval_dual(w),
+            },
+        }
+        .run(self.start, iters)
     }
 }
 
@@ -553,18 +440,8 @@ impl ReoptSession {
         demands: &DemandSet,
         max_changes: usize,
     ) -> ReoptResult {
-        assert_eq!(self.incumbent.high.len(), topo.link_count());
-        let params = self.next_params();
-        ReoptSearch::new(
-            topo,
-            demands,
-            self.objective,
-            params,
-            self.scheme,
-            self.incumbent.clone(),
-            max_changes,
-        )
-        .run()
+        let iters = self.params.str_iters();
+        self.descend(topo, demands, None, max_changes, iters)
     }
 
     /// Like [`step`](Self::step) but evaluating every candidate under a
@@ -578,7 +455,7 @@ impl ReoptSession {
     /// sweeps (the engine's `apply_link_down`/`apply_link_up` mask
     /// deltas under [`BackendKind::Incremental`]), which only support
     /// the load-based objective; panics under [`Objective::SlaBased`].
-    /// An all-up mask delegates to [`step`](Self::step).
+    /// An all-up mask is exactly [`step`](Self::step).
     ///
     /// [`BackendKind::Incremental`]: dtr_engine::BackendKind::Incremental
     pub fn step_masked(
@@ -588,18 +465,8 @@ impl ReoptSession {
         link_up: &[bool],
         max_changes: usize,
     ) -> ReoptResult {
-        assert_eq!(self.incumbent.high.len(), topo.link_count());
-        assert_eq!(link_up.len(), topo.link_count());
-        if link_up.iter().all(|&u| u) {
-            return self.step(topo, demands, max_changes);
-        }
-        assert!(
-            matches!(self.objective, Objective::LoadBased),
-            "masked reoptimization supports Objective::LoadBased only"
-        );
-        let params = self.next_params();
-        let iters = params.str_iters();
-        self.masked_descent(topo, demands, link_up, params, max_changes, iters)
+        let iters = self.params.str_iters();
+        self.descend(topo, demands, Some(link_up), max_changes, iters)
     }
 
     /// A budgeted anytime improvement pass over the incumbent: one
@@ -622,10 +489,26 @@ impl ReoptSession {
         max_changes: usize,
         iters: usize,
     ) -> ReoptResult {
+        self.descend(topo, demands, Some(link_up), max_changes, iters)
+    }
+
+    /// The body of every step: `iters` descent iterations on this
+    /// step's seed, evaluated on the plain evaluator or, when a mask
+    /// takes links down, through one-scenario [`BatchEvaluator`] sweeps.
+    fn descend(
+        &mut self,
+        topo: &Topology,
+        demands: &DemandSet,
+        link_up: Option<&[bool]>,
+        max_changes: usize,
+        iters: usize,
+    ) -> ReoptResult {
         assert_eq!(self.incumbent.high.len(), topo.link_count());
-        assert_eq!(link_up.len(), topo.link_count());
+        if let Some(mask) = link_up {
+            assert_eq!(mask.len(), topo.link_count());
+        }
         let params = self.next_params();
-        if link_up.iter().all(|&u| u) {
+        let Some(link_up) = link_up.filter(|mask| !mask.iter().all(|&u| u)) else {
             return ReoptSearch::new(
                 topo,
                 demands,
@@ -636,27 +519,11 @@ impl ReoptSession {
                 max_changes,
             )
             .run_with_iters(iters);
-        }
+        };
         assert!(
             matches!(self.objective, Objective::LoadBased),
             "masked reoptimization supports Objective::LoadBased only"
         );
-        self.masked_descent(topo, demands, link_up, params, max_changes, iters)
-    }
-
-    /// The shared masked-descent body behind
-    /// [`step_masked`](Self::step_masked) and
-    /// [`idle_step`](Self::idle_step): candidates are evaluated under
-    /// the failure mask via one-scenario [`BatchEvaluator`] sweeps.
-    fn masked_descent(
-        &self,
-        topo: &Topology,
-        demands: &DemandSet,
-        link_up: &[bool],
-        params: SearchParams,
-        max_changes: usize,
-        iters: usize,
-    ) -> ReoptResult {
         let scheme = self.scheme;
         // A synthetic one-scenario sweep; pair_id is reporting-only.
         let scenario = FailureScenario {
@@ -665,31 +532,25 @@ impl ReoptSession {
         };
         let scen = std::slice::from_ref(&scenario);
         let mut batch = BatchEvaluator::new(topo, demands, self.objective, params.backend);
-        let proposer = ChangeProposer {
+        Constrained {
             params,
             scheme,
             max_changes,
-        };
-        let eval = |w: &DualWeights| {
-            let hl = batch.sweep_high(&w.high, scen).pop().expect("one scenario");
-            let wl = match scheme {
-                Scheme::Str => &w.high,
-                Scheme::Dtr => &w.low,
-            };
-            let ll = batch.sweep_low(wl, scen).pop().expect("one scenario");
-            let ev = batch.evaluator();
-            let high = ev.high_side_from_loads(hl, &w.high);
-            ev.finish(high, ll)
-                .expect("high side built by this evaluator carries the SLA walk")
-        };
-        constrained_descent(
-            eval,
-            &proposer,
-            &self.incumbent,
-            None,
-            topo.link_count(),
-            iters,
-        )
+            incumbent: &self.incumbent,
+            eval: |w: &DualWeights| {
+                let hl = batch.sweep_high(&w.high, scen).pop().expect("one scenario");
+                let wl = match scheme {
+                    Scheme::Str => &w.high,
+                    Scheme::Dtr => &w.low,
+                };
+                let ll = batch.sweep_low(wl, scen).pop().expect("one scenario");
+                let ev = batch.evaluator();
+                let high = ev.high_side_from_loads(hl, &w.high);
+                ev.finish(high, ll)
+                    .expect("high side built by this evaluator carries the SLA walk")
+            },
+        }
+        .run(None, iters)
     }
 }
 

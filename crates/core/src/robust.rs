@@ -22,9 +22,11 @@
 //! worst-case planning. The lexicographic precedence of the high class is
 //! preserved in every combination.
 //!
-//! The search itself is the same single-weight-change local search as the
-//! STR baseline, over either one shared vector ([`RobustMode::Str`]) or
-//! the dual vector ([`RobustMode::Dtr`]). Candidate evaluation costs
+//! The search itself is the STR baseline's single-weight-change loop
+//! ([`crate::descent`], moves from [`Scheme::propose`]), over either one
+//! shared vector ([`RobustMode::Str`]) or the dual vector
+//! ([`RobustMode::Dtr`]); a restart perturbs `W^H` by `g1` and, under
+//! DTR, `W^L` by `g2`. Candidate evaluation costs
 //! `1 + |scenarios|` routing evaluations; evaluation is driven through
 //! `dtr-engine`'s [`dtr_engine::BatchEvaluator`], whose **failure-sweep
 //! backend** ([`SearchParams::backend`] `= Incremental`, the default)
@@ -48,17 +50,19 @@
 //! evaluation would need per-scenario delay DAGs, and §5's robustness
 //! question is about load headroom.
 
+use crate::descent::{descend, Descent};
+use crate::neighborhood::perturb_weights;
 use crate::params::SearchParams;
 use crate::scheme::Scheme;
-use crate::telemetry::{Phase, SearchTrace};
+use crate::telemetry::SearchTrace;
 use dtr_cost::{phi, Lex2, Objective};
 use dtr_engine::{BackendKind, BatchEvaluator, SharedBound, Side};
 use dtr_graph::weights::DualWeights;
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::{survivable_duplex_failures, FailureScenario};
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -340,120 +344,66 @@ impl<'a> RobustSearch<'a> {
     pub fn run(mut self) -> RobustResult {
         let params = self.params;
         let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut trace = SearchTrace::default();
-        let n_links = self.evaluator.topo.link_count();
-
-        let mut cur_w = self.initial.clone().unwrap_or_else(|| {
+        let start = self.initial.clone().unwrap_or_else(|| {
             DualWeights::replicated(WeightVector::uniform(self.evaluator.topo, 1))
         });
-        self.evaluator.rebase(&cur_w);
+        self.evaluator.rebase(&start);
+        let mut dropped = Vec::new();
         if let Some(cap) = self.scenario_cap {
             let before = self.evaluator.pair_ids();
-            let kept = self.evaluator.cap_to_worst(&cur_w, cap);
-            trace.dropped_scenarios = before.into_iter().filter(|id| !kept.contains(id)).collect();
+            let kept = self.evaluator.cap_to_worst(&start, cap);
+            dropped = before.into_iter().filter(|id| !kept.contains(id)).collect();
         }
-        let mut cur = self.evaluator.eval(&cur_w);
-        trace.evaluations += 1;
-        let mut best_w = cur_w.clone();
-        let mut best = cur;
-        trace.improved(0, Phase::Str, best.combined);
-        publish(best.combined);
-
-        let mut stall = 0usize;
-        for _ in 0..params.str_iters() {
-            trace.iterations += 1;
-
-            let mut best_cand: Option<(RobustCost, DualWeights)> = None;
-            for _ in 0..params.neighbors {
-                let lid = LinkId(rng.random_range(0..n_links as u32));
-                let change_high = match self.mode {
-                    RobustMode::Str => true,
-                    RobustMode::Dtr => rng.random_bool(0.5),
-                };
-                let target = if change_high { &cur_w.high } else { &cur_w.low };
-                let old = target.get(lid);
-                let mut v = rng.random_range(params.min_weight..=params.max_weight);
-                if v == old {
-                    v = if v == params.max_weight {
-                        params.min_weight
-                    } else {
-                        v + 1
-                    };
-                }
-                let mut cand_w = cur_w.clone();
-                match self.mode {
-                    RobustMode::Str => {
-                        cand_w.high.set(lid, v);
-                        cand_w.low.set(lid, v);
-                    }
-                    RobustMode::Dtr if change_high => cand_w.high.set(lid, v),
-                    RobustMode::Dtr => cand_w.low.set(lid, v),
-                }
-                let c = self.evaluator.eval(&cand_w);
-                trace.evaluations += 1;
-                if best_cand
-                    .as_ref()
-                    .is_none_or(|(b, _)| c.combined < b.combined)
-                {
-                    best_cand = Some((c, cand_w));
-                }
-            }
-
-            match best_cand {
-                Some((c, w)) if c.combined < cur.combined => {
-                    cur = c;
-                    cur_w = w;
-                    self.evaluator.rebase(&cur_w);
-                    trace.moves_accepted += 1;
-                    if cur.combined < best.combined {
-                        best = cur;
-                        best_w = cur_w.clone();
-                        trace.improved(trace.iterations, Phase::Str, best.combined);
-                        publish(best.combined);
-                        stall = 0;
-                    } else {
-                        stall += 1;
-                    }
-                }
-                _ => stall += 1,
-            }
-
-            if stall >= params.diversify_after {
-                if let Some(b) = &bound {
-                    if b.dominates(best.combined.primary) {
-                        trace.dominated_checkpoints += 1;
-                    }
-                }
-                crate::neighborhood::perturb_weights(&mut cur_w.high, params.g1, &params, &mut rng);
-                if self.mode == RobustMode::Str {
-                    cur_w.low = cur_w.high.clone();
-                } else {
-                    crate::neighborhood::perturb_weights(
-                        &mut cur_w.low,
-                        params.g2,
-                        &params,
-                        &mut rng,
-                    );
-                }
-                self.evaluator.rebase(&cur_w);
-                cur = self.evaluator.eval(&cur_w);
-                trace.evaluations += 1;
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
+        let mut out = descend(
+            &mut self,
+            start,
+            &params,
+            params.str_iters(),
+            &mut rng,
+            bound.as_deref(),
+        );
+        out.trace.dropped_scenarios = dropped;
         RobustResult {
-            weights: best_w,
-            cost: best,
+            weights: out.weights,
+            cost: out.eval,
             scenarios_used: self.evaluator.scenario_count(),
-            trace,
+            trace: out.trace,
+        }
+    }
+}
+
+/// One candidate: a single-weight change under the search's scheme,
+/// costing `1 + |scenarios|` routing evaluations; a restart perturbs
+/// `W^H` (and, under DTR, `W^L`).
+impl Descent for RobustSearch<'_> {
+    type Weights = DualWeights;
+    type Eval = RobustCost;
+    type Cost = Lex2;
+
+    fn cost(c: &RobustCost) -> &Lex2 {
+        &c.combined
+    }
+
+    fn propose(&mut self, cur: &DualWeights, rng: &mut StdRng) -> Option<DualWeights> {
+        Some(self.mode.propose(cur, &self.params, rng))
+    }
+
+    fn eval(&mut self, w: &DualWeights) -> RobustCost {
+        self.evaluator.eval(w)
+    }
+
+    fn rebase(&mut self, w: &DualWeights) {
+        self.evaluator.rebase(w);
+    }
+
+    fn restart(&mut self, cur: &mut DualWeights, rng: &mut StdRng) {
+        let params = self.params;
+        perturb_weights(&mut cur.high, params.g1, &params, rng);
+        if self.mode == RobustMode::Str {
+            cur.low = cur.high.clone();
+        } else {
+            perturb_weights(&mut cur.low, params.g2, &params, rng);
         }
     }
 }

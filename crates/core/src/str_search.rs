@@ -6,7 +6,9 @@
 //! lexicographic objectives as DTR: each iteration proposes `m` candidate
 //! settings (a random link re-assigned a random weight), moves to the
 //! best candidate if it improves the current solution, and diversifies
-//! after `M` non-improving iterations. The iteration count is derived
+//! after `M` non-improving iterations. That loop lives in
+//! [`crate::descent`]; this module supplies the move, the joint engine
+//! batch and the relaxed-front hook. The iteration count is derived
 //! from [`SearchParams::str_iters`] so STR and DTR consume the same
 //! number of candidate evaluations — a fair comparison.
 //!
@@ -20,16 +22,17 @@
 //! early candidates whose `Φ_H` only looked acceptable because the
 //! incumbent was still poor.)
 
-use crate::neighborhood::perturb_weights;
+use crate::descent::{descend, Descent};
+use crate::neighborhood::{perturb_weights, single_change};
 use crate::params::SearchParams;
-use crate::telemetry::{Phase, SearchTrace};
+use crate::telemetry::SearchTrace;
 use dtr_cost::{Lex2, Objective};
 use dtr_engine::{BatchEvaluator, SharedBound};
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_routing::Evaluation;
 use dtr_traffic::DemandSet;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Best relaxed solution tracked for one ε (load-based objective only).
@@ -63,18 +66,40 @@ pub struct StrResult {
 
 /// The Pareto front of `(Φ_H, Φ_L)` pairs over evaluated candidates,
 /// used to answer the relaxed-STR queries exactly at the end of a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ParetoFront {
+    /// The requested relaxation levels.
+    eps: Vec<f64>,
+    /// The largest of them: entries beyond `(1 + eps_max)·Φ*_H` can
+    /// never be selected.
+    eps_max: f64,
+    /// The smallest `Φ_H` over every evaluated candidate.
+    best_phi_h: f64,
     /// Entries sorted by increasing `Φ_H`; `Φ_L` strictly decreasing.
     entries: Vec<(f64, f64, WeightVector)>,
 }
 
 impl ParetoFront {
-    /// Offers a candidate; keeps the front minimal. `phi_h_cap` bounds
-    /// how far above the running best `Φ_H` an entry may sit (entries
-    /// beyond the largest requested ε can never be selected).
-    fn offer(&mut self, phi_h: f64, phi_l: f64, w: &WeightVector, phi_h_cap: f64) {
-        if phi_h > phi_h_cap {
+    fn new(eps: &[f64]) -> Self {
+        ParetoFront {
+            eps: eps.to_vec(),
+            eps_max: eps.iter().cloned().fold(0.0f64, f64::max),
+            best_phi_h: f64::INFINITY,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Offers an evaluated candidate; keeps the front minimal and drops
+    /// entries that can no longer qualify under any ε once the best
+    /// `Φ_H` improves.
+    fn track(&mut self, phi_h: f64, phi_l: f64, w: &WeightVector) {
+        let improved = phi_h < self.best_phi_h;
+        self.best_phi_h = self.best_phi_h.min(phi_h);
+        let cap = (1.0 + self.eps_max) * self.best_phi_h;
+        if improved {
+            self.entries.retain(|&(h, _, _)| h <= cap);
+        }
+        if phi_h > cap {
             return;
         }
         // Dominated by an existing entry?
@@ -91,18 +116,28 @@ impl ParetoFront {
         self.entries.insert(pos, (phi_h, phi_l, w.clone()));
     }
 
-    /// Drops entries that can no longer qualify under any ε once the
-    /// best `Φ_H` improves.
-    fn prune(&mut self, phi_h_cap: f64) {
-        self.entries.retain(|&(h, _, _)| h <= phi_h_cap);
-    }
-
-    /// Lowest-`Φ_L` entry with `Φ_H ≤ bound`.
-    fn best_within(&self, bound: f64) -> Option<&(f64, f64, WeightVector)> {
-        self.entries
+    /// Answers every relaxed query against the *final* `Φ*_H`: the
+    /// lowest-`Φ_L` entry with `Φ_H ≤ (1+ε)·Φ*_H`. An entry with
+    /// `Φ_H = Φ*_H` is never dominated away, so every ε ≥ 0 has one.
+    fn answers(&self) -> Vec<RelaxedBest> {
+        self.eps
             .iter()
-            .filter(|&&(h, _, _)| h <= bound)
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|&eps| {
+                let bound = (1.0 + eps) * self.best_phi_h;
+                let (phi_h, phi_l, w) = self
+                    .entries
+                    .iter()
+                    .filter(|&&(h, _, _)| h <= bound)
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("the minimum-Φ_H entry is on the front");
+                RelaxedBest {
+                    eps,
+                    weights: Some(w.clone()),
+                    phi_h: *phi_h,
+                    phi_l: *phi_l,
+                }
+            })
+            .collect()
     }
 }
 
@@ -111,7 +146,7 @@ pub struct StrSearch<'a> {
     engine: BatchEvaluator<'a>,
     params: SearchParams,
     initial: WeightVector,
-    relax_eps: Vec<f64>,
+    front: Option<ParetoFront>,
     bound: Option<Arc<SharedBound>>,
 }
 
@@ -129,7 +164,7 @@ impl<'a> StrSearch<'a> {
             engine: BatchEvaluator::new(topo, demands, objective, params.backend),
             params,
             initial,
-            relax_eps: Vec::new(),
+            front: None,
             bound: None,
         }
     }
@@ -155,153 +190,74 @@ impl<'a> StrSearch<'a> {
     /// in [`dtr_cost::SlaParams::relaxed`] instead.
     pub fn with_relaxations(mut self, eps: &[f64]) -> Self {
         assert!(eps.iter().all(|&e| e >= 0.0), "negative ε");
-        self.relax_eps = eps.to_vec();
+        self.front = (!eps.is_empty()).then(|| ParetoFront::new(eps));
         self
     }
 
-    /// Runs the search.
+    /// Runs [`SearchParams::str_iters`] iterations of the shared descent.
     pub fn run(mut self) -> StrResult {
         let params = self.params;
         let bound = self.bound.take();
-        let publish = |c: Lex2| {
-            if let Some(b) = &bound {
-                b.observe(c.primary);
-            }
-        };
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut trace = SearchTrace::default();
-        let n_links = self.engine.topo().link_count();
-
-        let mut cur_w = self.initial.clone();
-        self.engine.rebase_joint(&cur_w);
-        let mut cur = self.engine.eval_joint(&cur_w);
-        trace.evaluations += 1;
-
-        let mut best_w = cur_w.clone();
-        let mut best_cost = cur.cost;
-        trace.improved(0, Phase::Str, best_cost);
-        publish(best_cost);
-
-        // Relaxed tracking state: the smallest Φ_H seen over all
-        // evaluated candidates, and the Pareto front of (Φ_H, Φ_L).
-        let eps_max = self.relax_eps.iter().cloned().fold(0.0f64, f64::max);
-        let track_front = !self.relax_eps.is_empty();
-        let mut best_phi_h = cur.phi_h;
-        let mut front = ParetoFront::default();
-        let track =
-            |w: &WeightVector, e: &Evaluation, best_phi_h: &mut f64, front: &mut ParetoFront| {
-                if !track_front {
-                    return;
-                }
-                if e.phi_h < *best_phi_h {
-                    *best_phi_h = e.phi_h;
-                    front.prune((1.0 + eps_max) * *best_phi_h);
-                }
-                front.offer(e.phi_h, e.phi_l, w, (1.0 + eps_max) * *best_phi_h);
-            };
-        track(&cur_w, &cur, &mut best_phi_h, &mut front);
-
-        let mut stall = 0usize;
-        for _ in 0..params.str_iters() {
-            trace.iterations += 1;
-
-            // m single-weight-change candidates, evaluated as one
-            // engine batch (incremental repair or cache hit each);
-            // keep the best.
-            let cands: Vec<WeightVector> = (0..params.neighbors)
-                .map(|_| {
-                    let lid = LinkId(rng.random_range(0..n_links as u32));
-                    let old = cur_w.get(lid);
-                    let mut w = rng.random_range(params.min_weight..=params.max_weight);
-                    if w == old {
-                        // Force a change; wrap within the range.
-                        w = if w == params.max_weight {
-                            params.min_weight
-                        } else {
-                            w + 1
-                        };
-                    }
-                    let mut cand_w = cur_w.clone();
-                    cand_w.set(lid, w);
-                    cand_w
-                })
-                .collect();
-            let evals = self.engine.eval_joint_batch(&cands);
-            let mut best_cand: Option<(Evaluation, WeightVector)> = None;
-            for (cand_w, e) in cands.into_iter().zip(evals) {
-                trace.evaluations += 1;
-                track(&cand_w, &e, &mut best_phi_h, &mut front);
-                if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                    best_cand = Some((e, cand_w));
-                }
-            }
-
-            match best_cand {
-                Some((e, w)) if e.cost < cur.cost => {
-                    cur = e;
-                    cur_w = w;
-                    self.engine.rebase_joint(&cur_w);
-                    trace.moves_accepted += 1;
-                    if cur.cost < best_cost {
-                        best_cost = cur.cost;
-                        best_w = cur_w.clone();
-                        trace.improved(trace.iterations, Phase::Str, best_cost);
-                        publish(best_cost);
-                        stall = 0;
-                    } else {
-                        stall += 1;
-                    }
-                }
-                _ => stall += 1,
-            }
-
-            if stall >= params.diversify_after {
-                if let Some(b) = &bound {
-                    if b.dominates(best_cost.primary) {
-                        trace.dominated_checkpoints += 1;
-                    }
-                }
-                perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
-                self.engine.rebase_joint(&cur_w);
-                cur = self.engine.eval_joint(&cur_w);
-                trace.evaluations += 1;
-                track(&cur_w, &cur, &mut best_phi_h, &mut front);
-                trace.diversifications += 1;
-                stall = 0;
-            }
-        }
-
-        let eval = self.engine.eval_joint(&best_w);
-        debug_assert_eq!(eval.cost, best_cost);
-
-        // Answer the relaxed queries against the *final* Φ*_H. The strict
-        // optimum is always on the front, so every ε ≥ 0 has an answer.
-        let relaxed: Vec<RelaxedBest> = self
-            .relax_eps
-            .iter()
-            .map(|&eps| match front.best_within((1.0 + eps) * best_phi_h) {
-                Some((phi_h, phi_l, w)) => RelaxedBest {
-                    eps,
-                    weights: Some(w.clone()),
-                    phi_h: *phi_h,
-                    phi_l: *phi_l,
-                },
-                None => RelaxedBest {
-                    eps,
-                    weights: Some(best_w.clone()),
-                    phi_h: eval.phi_h,
-                    phi_l: eval.phi_l,
-                },
-            })
-            .collect();
-
+        let start = self.initial.clone();
+        self.engine.rebase_joint(&start);
+        let out = descend(
+            &mut self,
+            start,
+            &params,
+            params.str_iters(),
+            &mut rng,
+            bound.as_deref(),
+        );
+        let relaxed = self
+            .front
+            .as_ref()
+            .map_or_else(Vec::new, ParetoFront::answers);
         StrResult {
-            weights: best_w,
-            eval,
-            best_cost,
+            weights: out.weights,
+            best_cost: out.eval.cost,
+            eval: out.eval,
             relaxed,
-            trace,
+            trace: out.trace,
         }
+    }
+}
+
+/// One candidate: a single-weight change of the shared vector, batched
+/// through the joint engine; every evaluation feeds the relaxed front.
+impl Descent for StrSearch<'_> {
+    type Weights = WeightVector;
+    type Eval = Evaluation;
+    type Cost = Lex2;
+
+    fn cost(e: &Evaluation) -> &Lex2 {
+        &e.cost
+    }
+
+    fn propose(&mut self, cur: &WeightVector, rng: &mut StdRng) -> Option<WeightVector> {
+        Some(single_change(cur, &self.params, rng))
+    }
+
+    fn eval(&mut self, w: &WeightVector) -> Evaluation {
+        self.engine.eval_joint(w)
+    }
+
+    fn eval_batch(&mut self, cands: &[WeightVector]) -> Vec<Evaluation> {
+        self.engine.eval_joint_batch(cands)
+    }
+
+    fn observe(&mut self, w: &WeightVector, e: &Evaluation) {
+        if let Some(front) = &mut self.front {
+            front.track(e.phi_h, e.phi_l, w);
+        }
+    }
+
+    fn rebase(&mut self, w: &WeightVector) {
+        self.engine.rebase_joint(w);
+    }
+
+    fn restart(&mut self, cur: &mut WeightVector, rng: &mut StdRng) {
+        perturb_weights(cur, self.params.g1, &self.params, rng);
     }
 }
 

@@ -129,7 +129,7 @@ proptest! {
         let mut ev = Evaluator::new(&topo, &demands, Objective::LoadBased);
         let uniform = ev.eval_str(&WeightVector::uniform(&topo, 1)).cost;
 
-        let ga = dtr_core::GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+        let ga = MemeticSearch::ga(&topo, &demands, Objective::LoadBased, params).run();
         prop_assert!(ga.best_cost <= uniform);
         let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
         prop_assert!(mem.best_cost <= uniform);

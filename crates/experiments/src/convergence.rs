@@ -18,7 +18,7 @@ use crate::report::{fmt, Table};
 use crate::runner::{demands_random_model, gamma_grid, ExperimentCtx, TopologyKind};
 use dtr_core::telemetry::SearchTrace;
 use dtr_core::{
-    AnnealSearch, DtrSearch, GaSearch, MemeticSearch, Objective, Scheme, SearchParams, StrSearch,
+    AnnealSearch, DtrSearch, MemeticSearch, Objective, Scheme, SearchParams, StrSearch,
 };
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +92,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<StrategyCurve> {
     let mut out = Vec::new();
     let ls = StrSearch::new(&topo, &demands, Objective::LoadBased, params).run();
     out.push(StrategyCurve::from_trace("local-search", &ls.trace));
-    let ga = GaSearch::new(&topo, &demands, Objective::LoadBased, params).run();
+    let ga = MemeticSearch::ga(&topo, &demands, Objective::LoadBased, params).run();
     out.push(StrategyCurve::from_trace("genetic", &ga.trace));
     let mem = MemeticSearch::new(&topo, &demands, Objective::LoadBased, params).run();
     out.push(StrategyCurve::from_trace("memetic", &mem.trace));

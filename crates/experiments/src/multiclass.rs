@@ -17,14 +17,16 @@
 
 use crate::report::{fmt, Table};
 use crate::runner::{cost_ratio, ExperimentCtx, TopologyKind};
+use dtr_core::descent::{descend, Descent};
+use dtr_core::neighborhood::{perturb_weights, single_change};
 use dtr_core::SearchParams;
-use dtr_cost::ObjectiveSpec;
+use dtr_cost::{LexCost, ObjectiveSpec};
 use dtr_engine::{KClassBatchEvaluator, KClassEvaluation};
-use dtr_graph::{LinkId, Topology, WeightVector};
+use dtr_graph::{Topology, WeightVector};
 use dtr_multi::MultiSearch;
 use dtr_traffic::{MultiDemand, MultiTrafficCfg};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Outcome for one class count.
@@ -43,74 +45,60 @@ pub struct KOutcome {
 }
 
 /// Single-topology baseline for a k-class workload: one shared weight
-/// vector, same lexicographic objective, single-weight-change local
-/// search at the same candidate budget as the staged MTR search.
+/// vector, same lexicographic objective, the shared single-weight-change
+/// descent at the same candidate budget as the staged MTR search.
 fn str_baseline(topo: &Topology, demands: &MultiDemand, params: SearchParams) -> Vec<f64> {
     let k = demands.class_count();
     let matrices = demands.classes.iter().collect();
     let spec = ObjectiveSpec::load(k);
-    let mut ev = KClassBatchEvaluator::new(topo, matrices, &spec, params.backend)
-        .expect("k-class workloads have k ≥ 2");
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5f5f);
-    let n_links = topo.link_count();
-
-    let replicate = |w: &WeightVector| vec![w.clone(); k];
-    // Every class routes on the one shared vector, so every class's
-    // backend follows it: candidates then stay one link from the base.
-    let rebase = |ev: &mut KClassBatchEvaluator, w: &WeightVector| {
-        for c in 0..k {
-            ev.rebase(c, w);
-        }
+    let mut shared = SharedVector {
+        ev: KClassBatchEvaluator::new(topo, matrices, &spec, params.backend)
+            .expect("k-class workloads have k ≥ 2"),
+        params,
     };
-    let mut cur_w = WeightVector::uniform(topo, 1);
-    let mut cur = ev.eval(&replicate(&cur_w));
-    let mut best = (cur.cost.clone(), cur.phis.clone());
-    let mut stall = 0usize;
-
+    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5f5f);
     // Budget parity with MultiSearch: k stages of n_iters plus k_iters.
     let iters = k * params.n_iters + params.k_iters;
-    for _ in 0..iters {
-        let mut best_cand: Option<(KClassEvaluation, WeightVector)> = None;
-        for _ in 0..params.neighbors {
-            let lid = LinkId(rng.random_range(0..n_links as u32));
-            let old = cur_w.get(lid);
-            let mut v = rng.random_range(params.min_weight..=params.max_weight);
-            if v == old {
-                v = if v == params.max_weight {
-                    params.min_weight
-                } else {
-                    v + 1
-                };
-            }
-            let mut w = cur_w.clone();
-            w.set(lid, v);
-            let e = ev.eval(&replicate(&w));
-            if best_cand.as_ref().is_none_or(|(b, _)| e.cost < b.cost) {
-                best_cand = Some((e, w));
-            }
-        }
-        match best_cand {
-            Some((e, w)) if e.cost < cur.cost => {
-                rebase(&mut ev, &w);
-                cur = e;
-                cur_w = w;
-                if cur.cost < best.0 {
-                    best = (cur.cost.clone(), cur.phis.clone());
-                    stall = 0;
-                } else {
-                    stall += 1;
-                }
-            }
-            _ => stall += 1,
-        }
-        if stall >= params.diversify_after {
-            dtr_core::neighborhood::perturb_weights(&mut cur_w, params.g1, &params, &mut rng);
-            rebase(&mut ev, &cur_w);
-            cur = ev.eval(&replicate(&cur_w));
-            stall = 0;
+    let start = WeightVector::uniform(topo, 1);
+    descend(&mut shared, start, &params, iters, &mut rng, None)
+        .eval
+        .phis
+}
+
+/// Every class routes on one shared vector.
+struct SharedVector<'a> {
+    ev: KClassBatchEvaluator<'a>,
+    params: SearchParams,
+}
+
+impl Descent for SharedVector<'_> {
+    type Weights = WeightVector;
+    type Eval = KClassEvaluation;
+    type Cost = LexCost;
+
+    fn cost(e: &KClassEvaluation) -> &LexCost {
+        &e.cost
+    }
+
+    fn propose(&mut self, cur: &WeightVector, rng: &mut StdRng) -> Option<WeightVector> {
+        Some(single_change(cur, &self.params, rng))
+    }
+
+    fn eval(&mut self, w: &WeightVector) -> KClassEvaluation {
+        self.ev.eval(&vec![w.clone(); self.ev.class_count()])
+    }
+
+    /// Every class's backend follows the shared vector, so candidates
+    /// stay one link from the base.
+    fn rebase(&mut self, w: &WeightVector) {
+        for c in 0..self.ev.class_count() {
+            self.ev.rebase(c, w);
         }
     }
-    best.1
+
+    fn restart(&mut self, cur: &mut WeightVector, rng: &mut StdRng) {
+        perturb_weights(cur, self.params.g1, &self.params, rng);
+    }
 }
 
 /// Builds the k-class workload: the priority classes split 30 % of the
@@ -213,6 +201,28 @@ mod tests {
         }
         let t = table(&outcomes);
         assert_eq!(t.rows.len(), 2 + 3 + 4);
+        // The single-topology baseline's trajectory, bit for bit.
+        let str_bits: Vec<Vec<u64>> = outcomes
+            .iter()
+            .map(|o| o.str_phis.iter().map(|p| p.to_bits()).collect())
+            .collect();
+        assert_eq!(
+            str_bits,
+            vec![
+                vec![4669755246120213002, 4711496088091584841],
+                vec![
+                    4664360002687201690,
+                    4664343968360424777,
+                    4711127945616763758
+                ],
+                vec![
+                    4661828533682978539,
+                    4661696310643722151,
+                    4661651403874509009,
+                    4705317097908288830
+                ],
+            ]
+        );
     }
 
     #[test]

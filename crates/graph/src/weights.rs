@@ -135,6 +135,15 @@ impl DualWeights {
             high: w,
         }
     }
+
+    /// The high-class vector when `high`, else the low-class one.
+    pub fn class(&self, high: bool) -> &WeightVector {
+        if high {
+            &self.high
+        } else {
+            &self.low
+        }
+    }
 }
 
 #[cfg(test)]

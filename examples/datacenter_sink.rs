@@ -56,6 +56,6 @@ fn main() {
     println!(
         "\nPaper Fig. 8's reading: client placement changes how much DTR can help — \
          Uniform clients give DTR more low-priority pairs to reroute than Local ones. \
-         Sweep load levels with `cargo run -p dtr-bench --bin fig8` for the full curves."
+         Sweep load levels with `cargo run -p dtr-experiments -- fig8` for the full curves."
     );
 }
